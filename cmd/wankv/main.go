@@ -73,7 +73,6 @@ func run() int {
 		scn      = flag.String("scenario", "", "chaos scenario to run under the load (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery, lease-partition); load mode only")
 		scnUnit  = flag.Duration("unit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 		bandw    = flag.String("bandwidth", "", "per-link bandwidth cap, e.g. 50mbit, 6.25MB, 1gbit (empty = uncapped; heartbeats are exempt)")
-		uncoal   = flag.Bool("uncoalesced", false, "disable batch envelopes (one wire frame per message; baseline codec)")
 		compMin  = flag.Int("compressmin", 0, "compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
 		lanes    = flag.Int("lanes", 0, "shard replicas across this many ordering lane goroutines by group (0 = one per replica)")
 		inbox    = flag.Int("inbox", 0, "per-lane inbox ring size (0 = default 4096)")
@@ -131,7 +130,6 @@ func run() int {
 		SpanBuf:       *spanBuf,
 		FlightDump:    *flightD,
 		Bandwidth:     *bandw,
-		Uncoalesced:   *uncoal,
 		CompressMin:   *compMin,
 	}
 	if err := readOpts.Validate(); err != nil {
@@ -186,7 +184,6 @@ func run() int {
 		SpanBuf:       *spanBuf,
 		FlightDump:    *flightD,
 		Bandwidth:     readOpts.BandwidthBytes(),
-		Uncoalesced:   *uncoal,
 		CompressMin:   *compMin,
 	}
 	if *scn != "" && *dataDir == "" {
@@ -340,7 +337,7 @@ func run() int {
 			r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
 		}
 		r.WanHops = harness.WanHopHist(st.DegreeHist)
-		r.SetWire(st.Wire, *bandw, *uncoal)
+		r.SetWire(st.Wire, *bandw)
 		if tr := cluster.Tracer(); tr != nil {
 			r.Stages = harness.StageBreakdown(tr.Stats().Snapshot())
 		}

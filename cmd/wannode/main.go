@@ -54,7 +54,6 @@ func main() {
 		wan      = flag.Duration("wan", 100*time.Millisecond, "injected one-way inter-group delay")
 		sendq    = flag.Int("sendqueue", 0, "per-connection send queue depth (0 = default 4096)")
 		flush    = flag.Duration("flush", 0, "max frame-coalescing latency before a flush (0 = default 200µs)")
-		gobWire  = flag.Bool("gobwire", false, "use the legacy gob codec instead of the wire codec (all instances must agree)")
 		trace    = flag.Bool("trace", false, "print transport trace lines to stderr")
 		dataDir  = flag.String("datadir", "", "persist WAL+snapshots under this directory and recover from it at startup (empty = volatile)")
 		noFsync  = flag.Bool("nofsync", false, "with -datadir: write the WAL without fsync barriers (benchmark knob; OS-process crashes may lose the tail)")
@@ -91,11 +90,6 @@ func main() {
 	}
 	self := types.ProcessID(*id)
 
-	tcp.RegisterWireTypes()
-	codec := tcp.CodecWire
-	if *gobWire {
-		codec = tcp.CodecGob
-	}
 	var tracer func(format string, args ...any)
 	if *trace {
 		tracer = func(format string, args ...any) {
@@ -109,7 +103,6 @@ func main() {
 		WANDelay:   *wan,
 		SendQueue:  *sendq,
 		FlushEvery: *flush,
-		Codec:      codec,
 		Trace:      tracer,
 	})
 

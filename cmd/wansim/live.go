@@ -15,9 +15,9 @@ import (
 
 // runLive drives the wansim workload over a real TCP cluster on localhost
 // (algorithms a1 and a2 only) instead of the simulator, and prints wall
-// throughput. The transport knobs ride in on harness.Options: SendQueue,
-// FlushEvery, and GobWire map straight onto the live transport's queue
-// depth, flush coalescing window, and codec.
+// throughput. The transport knobs ride in on harness.Options: SendQueue and
+// FlushEvery map straight onto the live transport's queue depth and flush
+// coalescing window.
 func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate float64, spread int, seed int64, verbose bool) {
 	if algo != harness.AlgoA1 && algo != harness.AlgoA2 {
 		fmt.Fprintf(os.Stderr, "wansim: -live supports a1 and a2 only (got %s)\n", algo)
@@ -35,9 +35,7 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		InboxSize:   opts.InboxSize,
 		SendQueue:   opts.SendQueue,
 		FlushEvery:  opts.FlushEvery,
-		GobCodec:    opts.GobWire,
 		Bandwidth:   opts.BandwidthBytes(),
-		Uncoalesced: opts.Uncoalesced,
 		CompressMin: opts.CompressMin,
 		TraceSpans:  opts.TraceLifecycle(),
 		SpanBuf:     opts.SpanBuf,
@@ -63,10 +61,6 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		fmt.Printf("telemetry: http://%s/metrics\n", tsrv.Addr())
 	}
 
-	codec := "wire"
-	if opts.GobWire {
-		codec = "gob"
-	}
 	sendq, flush := opts.SendQueue, opts.FlushEvery
 	if sendq <= 0 {
 		sendq = tcp.DefaultSendQueue
@@ -79,11 +73,8 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 	if opts.Lanes == 0 {
 		laneDesc = "per-process"
 	}
-	if opts.Uncoalesced {
-		codec += " (uncoalesced)"
-	}
-	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v codec=%s lanes=%s sendqueue=%d flush=%v\n",
-		algo, opts.Groups, opts.PerGroup, opts.Inter, opts.Intra, codec, laneDesc, sendq, flush)
+	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v lanes=%s sendqueue=%d flush=%v\n",
+		algo, opts.Groups, opts.PerGroup, opts.Inter, opts.Intra, laneDesc, sendq, flush)
 	if opts.Bandwidth != "" {
 		fmt.Printf("bandwidth      %s per link (heartbeats exempt)\n", opts.Bandwidth)
 	}
@@ -166,7 +157,7 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 			r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
 		}
 		r.WanHops = harness.WanHopHist(st.DegreeHist)
-		r.SetWire(st.Wire, opts.Bandwidth, opts.Uncoalesced)
+		r.SetWire(st.Wire, opts.Bandwidth)
 		if tr := l.Tracer(); tr != nil {
 			r.Stages = harness.StageBreakdown(tr.Stats().Snapshot())
 		}

@@ -44,9 +44,7 @@ func main() {
 		basePort  = flag.Int("port", 22000, "base TCP port for -live (process p listens on port+p)")
 		sendq     = flag.Int("sendqueue", 0, "live transport: per-connection send queue depth (0 = default 4096)")
 		flush     = flag.Duration("flush", 0, "live transport: max frame-coalescing latency before a flush (0 = default 200µs)")
-		gobWire   = flag.Bool("gobwire", false, "live transport: use the legacy gob codec instead of the wire codec")
 		bandwidth = flag.String("bandwidth", "", "per-link bandwidth cap, e.g. 50mbit, 6.25MB, 1gbit (empty = uncapped; heartbeats are exempt)")
-		uncoal    = flag.Bool("uncoalesced", false, "live transport: disable batch envelopes (one frame per message; baseline codec)")
 		compMin   = flag.Int("compressmin", 0, "live transport: compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
 		lanes     = flag.Int("lanes", 0, "ordering lanes: shard processes across this many goroutines by group (0 = one per process); sim runs only account lanes")
 		inbox     = flag.Int("inbox", 0, "live transport: per-lane inbox ring size (0 = default 4096)")
@@ -145,8 +143,8 @@ func main() {
 		Groups: *groups, PerGroup: *d,
 		Inter: *inter, Intra: *intra, Jitter: *jitter, Seed: *seed,
 		MaxBatch: *maxBatch, A1Pipeline: *pipeline, A2Pipeline: *pipeline,
-		SendQueue: *sendq, FlushEvery: *flush, GobWire: *gobWire,
-		Bandwidth: *bandwidth, Uncoalesced: *uncoal, CompressMin: *compMin,
+		SendQueue: *sendq, FlushEvery: *flush,
+		Bandwidth: *bandwidth, CompressMin: *compMin,
 		Lanes: *lanes, InboxSize: *inbox,
 		CPUProfile: *cpuProf, MemProfile: *memProf, MutexProfile: *mtxProf,
 		BenchJSON:     *benchOut,
@@ -167,8 +165,8 @@ func main() {
 	if opts.TraceLifecycle() && !*live {
 		fail("-telemetry, -spanbuf, and -flightdump instrument live runs only (add -live)")
 	}
-	if (*uncoal || *compMin != 0) && !*live {
-		fail("-uncoalesced and -compressmin tune the live transport only (add -live)")
+	if *compMin != 0 && !*live {
+		fail("-compressmin tunes the live transport only (add -live)")
 	}
 	stopProf, err := harness.StartProfiles(opts.CPUProfile, opts.MemProfile, opts.MutexProfile)
 	if err != nil {

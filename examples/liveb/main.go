@@ -48,7 +48,6 @@ func main() {
 	period := flag.Duration("period", 50*time.Millisecond, "time between broadcasts")
 	flag.Parse()
 
-	tcp.RegisterWireTypes()
 	topo := types.NewTopology(2, 3)
 	counter := &a2Counter{}
 

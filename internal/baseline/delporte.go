@@ -56,7 +56,8 @@ type DGItem struct {
 	TS      uint64 // carried timestamp
 }
 
-// Delporte wire messages, exported for gob registration.
+// Delporte wire messages. This baseline runs only in the simulator, so they
+// have no wire codec.
 type (
 	// DGData carries the message from the caster to the first group.
 	DGData struct{ M rmcast.Message }

@@ -44,7 +44,8 @@ type dmEntry struct {
 	msg rmcast.Message
 }
 
-// DetMerge wire messages, exported for gob registration.
+// DetMerge wire messages. This baseline runs only in the simulator, so they
+// have no wire codec.
 type (
 	// DMData is a cast: a stream element with content.
 	DMData struct {

@@ -51,7 +51,8 @@ func (p *rgPend) less(q *rgPend) bool {
 	return p.msg.ID.Less(q.msg.ID)
 }
 
-// Rodrigues wire messages, exported for gob registration.
+// Rodrigues wire messages. This baseline runs only in the simulator, so they
+// have no wire codec.
 type (
 	// RGData carries the multicast message to its destinations.
 	RGData struct{ M rmcast.Message }

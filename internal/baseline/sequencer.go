@@ -45,7 +45,8 @@ type SeqBcast struct {
 	optDone  map[types.MessageID]bool
 }
 
-// SeqBcast wire messages, exported for gob registration.
+// SeqBcast wire messages. This baseline runs only in the simulator, so they
+// have no wire codec.
 type (
 	// SBData carries the broadcast message to every process.
 	SBData struct {

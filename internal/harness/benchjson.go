@@ -30,7 +30,6 @@ type BenchResult struct {
 	FramesPerWrite   float64 `json:"frames_per_write,omitempty"`  // protocol messages / envelope write
 	CompressionRatio float64 `json:"compression_ratio,omitempty"` // raw/compressed payload over compressed envelopes
 	Bandwidth        string  `json:"bandwidth,omitempty"`         // configured per-link cap, ParseBandwidth form
-	Uncoalesced      bool    `json:"wire_uncoalesced,omitempty"`  // plain per-message frames (baseline codec)
 
 	// Simulation scale-sweep accounting (zero on live runs): throughput
 	// and allocation behavior of the discrete-event runtime itself at one
@@ -75,10 +74,10 @@ type BenchResult struct {
 }
 
 // SetWire fills the wire-traffic fields from a recorded WireStats
-// snapshot. Runs with no wire accounting (sim without bandwidth modeling,
-// gob codec) leave the fields zero so JSON omits them. WireBytesPerOp
-// divides by Casts, so set Casts first.
-func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth string, uncoalesced bool) {
+// snapshot. Runs with no wire accounting (sim without bandwidth modeling)
+// leave the fields zero so JSON omits them. WireBytesPerOp divides by
+// Casts, so set Casts first.
+func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth string) {
 	if w.BytesOut == 0 {
 		return
 	}
@@ -89,7 +88,6 @@ func (r *BenchResult) SetWire(w metrics.WireStats, bandwidth string, uncoalesced
 	r.FramesPerWrite = w.FramesPerEnvelope()
 	r.CompressionRatio = w.CompressionRatio()
 	r.Bandwidth = bandwidth
-	r.Uncoalesced = uncoalesced
 }
 
 // StageBreakdown converts the tracer's per-stage summaries into the

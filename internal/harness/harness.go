@@ -183,20 +183,12 @@ type Options struct {
 	// no transport and ignores both.
 	SendQueue  int
 	FlushEvery time.Duration
-	// GobWire reverts the live transport to the legacy encoding/gob codec
-	// (benchmark baseline); ignored by the simulated runtime.
-	GobWire bool
 	// Bandwidth caps every link at this rate (ParseBandwidth forms, e.g.
 	// "50Mbit", "6.25MB"; empty or "0" = uncapped). The simulator adds the
 	// transmission delay and per-link FIFO queueing to its delay model; the
 	// live transport paces each connection's writer. Heartbeats are exempt
 	// on the live path — a saturated link must not look like a crash.
 	Bandwidth string
-	// Uncoalesced reverts the live transport to one plain frame per
-	// protocol message (no batch envelopes, no compression) — the
-	// bandwidth-efficiency baseline. Ignored by the simulated runtime,
-	// which sizes each message as its own frame either way.
-	Uncoalesced bool
 	// CompressMin is the live transport's batch compression threshold in
 	// bytes (0 = default wire.MinCompress, negative = compression off).
 	// Positive values below wire.MinCompress (one MTU) are rejected.

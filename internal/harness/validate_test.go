@@ -14,7 +14,7 @@ func TestOptionsValidate(t *testing.T) {
 		{DataDir: "/tmp/x", NoFsync: true, SnapshotEvery: 128},
 		{DataDir: "/tmp/x", SnapshotEvery: -1}, // negative = snapshots off
 		{Bandwidth: "50mbit", CompressMin: 4096},
-		{Bandwidth: "6.25MB/s", Uncoalesced: true},
+		{Bandwidth: "6.25MB/s"},
 		{CompressMin: -1}, // negative = compression off
 	}
 	for i, o := range good {

@@ -111,7 +111,6 @@ func TestLaneInboxOverflowParks(t *testing.T) {
 // four processes multiplexed onto two lanes over real sockets: sharing a
 // lane must be invisible to the protocols.
 func TestLiveBroadcastLanesShared(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	rt := New(Config{
 		Topo:     topo,

@@ -13,7 +13,6 @@ import (
 // codec exactly, including negative and large beats, and truncations
 // error instead of panicking.
 func TestLeaseWireRoundTrip(t *testing.T) {
-	RegisterWireTypes()
 	for _, v := range []any{
 		&heartbeatMsg{Beat: 0},
 		&heartbeatMsg{Beat: -5},
@@ -52,7 +51,6 @@ func TestLeaseWireRoundTrip(t *testing.T) {
 // holder's lease lapses strictly before the successor's activates, which
 // is the whole safety argument for serving reads under it.
 func TestLeaderLeaseAcquireAndFence(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 3)
 	rt := New(Config{
 		Topo:           topo,

@@ -13,7 +13,6 @@ import (
 // and checks that a broadcast crosses the runtime boundary and totally
 // orders everywhere.
 func TestMultiRuntimeBroadcast(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	log := newLog()
 

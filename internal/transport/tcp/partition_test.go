@@ -33,7 +33,6 @@ func (s *sink) snapshot() []string {
 // real partition) and delivered after the heal — without any further
 // traffic on the link, so this also pins the heal wake-up path.
 func TestPartitionHoldsFramesUntilHeal(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
 	rt := New(Config{Topo: topo, BasePort: 26000, WANDelay: time.Millisecond})
 	s := &sink{}
@@ -60,7 +59,6 @@ func TestPartitionHoldsFramesUntilHeal(t *testing.T) {
 
 // TestPartitionIsDirectional: severing 0→1 leaves 1→0 delivering.
 func TestPartitionIsDirectional(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
 	rt := New(Config{Topo: topo, BasePort: 26010, WANDelay: time.Millisecond})
 	s0 := &sink{}
@@ -81,7 +79,6 @@ func TestPartitionIsDirectional(t *testing.T) {
 // heal lets beats resume, trust is restored, and the old leader is
 // re-elected — subscribers see both changes.
 func TestPartitionSuspicionAndTrustRestore(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(1, 2)
 	rt := New(Config{
 		Topo:           topo,
@@ -129,7 +126,6 @@ func TestPartitionSuspicionAndTrustRestore(t *testing.T) {
 // TestDelaySpikeOverride: a per-link fabric delay override replaces the
 // static injected delay at dispatch time.
 func TestDelaySpikeOverride(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 1)
 	rt := New(Config{Topo: topo, BasePort: 26030, WANDelay: time.Millisecond})
 	s := &sink{}

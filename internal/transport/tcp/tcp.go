@@ -40,16 +40,16 @@
 // processes, and the protocols' retry timers recover any frame dropped
 // toward a live one.
 //
-// The default wire format is the zero-allocation internal/wire codec;
-// Config.Codec can revert to the legacy encoding/gob stream (the benchmark
-// baseline). Either way, call RegisterWireTypes (or gob-register your
-// payload types) before Start: non-basic application payloads always ride
-// the gob path.
+// The wire format is the zero-allocation internal/wire codec: every
+// protocol message has a registered codec (its package's init installs it),
+// fd frames go out as plain frames, and the protocol frames of one flush
+// cycle share a batch envelope. Only application payloads of a type with no
+// codec fall back to a gob blob inside a frame, so gob-register those
+// payload types before casting them.
 package tcp
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -58,51 +58,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wanamcast/internal/abcast"
-	"wanamcast/internal/amcast"
-	"wanamcast/internal/baseline"
-	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/network"
 	"wanamcast/internal/node"
 	"wanamcast/internal/ring"
-	"wanamcast/internal/rmcast"
 	"wanamcast/internal/trace"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
-
-// RegisterWireTypes registers every protocol message of this repository
-// with encoding/gob (the legacy codec and the fallback payload path).
-// Application payloads beyond the basic types must be registered separately
-// by the caller.
-func RegisterWireTypes() {
-	gob.Register(types.MessageID{})
-	gob.Register(types.GroupSet{})
-	gob.Register(consensus.ForwardMsg{})
-	gob.Register(consensus.PrepareMsg{})
-	gob.Register(consensus.PromiseMsg{})
-	gob.Register(consensus.AcceptMsg{})
-	gob.Register(consensus.AcceptedMsg{})
-	gob.Register(consensus.DecideMsg{})
-	gob.Register(consensus.LearnMsg{})
-	gob.Register(rmcast.DataMsg{})
-	gob.Register(rmcast.Message{})
-	gob.Register(amcast.TSMsg{})
-	gob.Register(amcast.Descriptor{})
-	gob.Register([]amcast.Descriptor{})
-	gob.Register(amcast.SyncReq{})
-	gob.Register(amcast.SyncResp{})
-	gob.Register(abcast.BundleMsg{})
-	gob.Register(abcast.Record{})
-	gob.Register([]abcast.Record{})
-	gob.Register(abcast.SyncReq{})
-	gob.Register(abcast.SyncResp{})
-	gob.Register(baseline.SkeenData{})
-	gob.Register(baseline.SkeenProp{})
-	gob.Register(&heartbeatMsg{})
-	gob.Register(&leaseGrantMsg{})
-}
 
 // The failure detector's messages are the highest-frequency frames a quiet
 // deployment receives, so their decoded bodies come from free-lists: the
@@ -137,38 +100,6 @@ func init() {
 			m.Beat = b
 			return m, rest, nil
 		})
-}
-
-// gobFrame is the legacy gob wire envelope (Config.Codec = CodecGob).
-type gobFrame struct {
-	From  types.ProcessID
-	Proto string
-	TS    int64
-	Body  any
-}
-
-// Codec selects the transport's wire format.
-type Codec int
-
-const (
-	// CodecWire is the zero-allocation length-prefixed binary codec
-	// (internal/wire). The default.
-	CodecWire Codec = iota
-	// CodecGob is the legacy encoding/gob stream, kept as the benchmark
-	// baseline and as an escape hatch for exotic payloads.
-	CodecGob
-)
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecWire:
-		return "wire"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", int(c))
-	}
 }
 
 // Default values for the transport knobs (see Config).
@@ -247,15 +178,6 @@ type Config struct {
 	// connection backs off for DialTimeout before trying again, dropping
 	// frames meanwhile.
 	DialTimeout time.Duration
-	// Codec selects the wire format (default CodecWire). Both ends of a
-	// deployment must agree.
-	Codec Codec
-	// Uncoalesced disables batch envelopes: every protocol message goes out
-	// as its own length-prefixed frame, one preamble per message, never
-	// compressed. This is the pre-envelope wire format, kept as the
-	// bandwidth-efficiency baseline the WAN benchmarks compare against.
-	// Receivers always understand both forms.
-	Uncoalesced bool
 	// CompressMin is the batch compression threshold: an envelope whose
 	// payload reaches this many bytes is deflated (compress/flate,
 	// BestSpeed) unless compression fails to shrink it. 0 means the default
@@ -826,21 +748,6 @@ func (rt *Runtime) readLoop(to types.ProcessID, conn net.Conn) {
 		_ = conn.Close()
 		rt.untrack(conn)
 	}()
-	if rt.cfg.Codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
-		for {
-			var f gobFrame
-			if err := dec.Decode(&f); err != nil {
-				rt.Tracef("decode error at %v: %v", to, err)
-				return // connection closed or corrupt; peers redial
-			}
-			if !rt.validFrom(f.From) {
-				rt.Tracef("drop frame at %v: sender %d outside topology", to, int(f.From))
-				return
-			}
-			rt.dispatch(to, wire.Frame{From: f.From, Proto: f.Proto, TS: f.TS, Body: f.Body})
-		}
-	}
 	// The wire read path reuses all of its storage across envelopes: the
 	// frame scratch, the inflate scratch, and the Batch (whose Msgs slice is
 	// recycled). Decoded bodies never alias the scratch buffers — every
@@ -1106,7 +1013,6 @@ func (l *link) writeLoop() {
 	var (
 		conn     net.Conn
 		bw       *bufio.Writer
-		genc     *gob.Encoder
 		buf      []byte // reused wire-encode buffer; zero-alloc steady state
 		nextDial time.Time
 		held     []outFrame // frames parked while the fabric severs the link
@@ -1121,7 +1027,7 @@ func (l *link) writeLoop() {
 			_ = conn.Close()
 			rt.untrack(conn)
 		}
-		conn, bw, genc = nil, nil, nil
+		conn, bw = nil, nil
 	}
 	defer func() {
 		if conn != nil {
@@ -1187,30 +1093,22 @@ func (l *link) writeLoop() {
 			conn = c
 			rt.track(conn)
 			bw = bufio.NewWriterSize(conn, 64<<10)
-			if rt.cfg.Codec == CodecGob {
-				genc = gob.NewEncoder(bw)
-			}
 		}
 		// Coalesce: gather the held frames (usually just the one received
 		// above; more after a heal) plus whatever the queue yields within
-		// FlushEvery, and write them as one flush. On the wire codec the
-		// gathered protocol frames pack into a single batch envelope — one
-		// length header and one sender preamble for the whole burst, one
-		// syscall — while fd frames are written immediately as plain
-		// frames (see fdProto). The legacy gob codec encodes frame by
-		// frame, exactly as before.
+		// FlushEvery, and write them as one flush. The gathered protocol
+		// frames pack into a single batch envelope — one length header and
+		// one sender preamble for the whole burst, one syscall — while fd
+		// frames are written immediately as plain frames (see fdProto).
 		deadline := time.Now().Add(rt.cfg.FlushEvery)
 		var err error
 		pend := l.pend[:0]
 		take := func(f outFrame) {
-			switch {
-			case genc != nil:
-				err = genc.Encode(gobFrame{From: l.from, Proto: f.proto, TS: f.ts, Body: f.body})
-			case f.proto == fdProto:
+			if f.proto == fdProto {
 				_, err = l.writePlain(bw, &buf, f)
-			default:
-				pend = append(pend, f)
+				return
 			}
+			pend = append(pend, f)
 		}
 		for len(held) > 0 && err == nil {
 			take(held[0])
@@ -1239,10 +1137,10 @@ func (l *link) writeLoop() {
 			take(f)
 		}
 		// Write the gathered protocol frames. On an uncapped link the whole
-		// cycle goes out as one burst (one envelope on the wire codec). On a
-		// bandwidth-capped link it goes out in paceChunkBytes chunks with the
-		// transmission debt paid between them — modeling the burst draining
-		// through a rate-limited pipe, and keeping the peer's receive rate at
+		// cycle goes out as one burst (one envelope). On a bandwidth-capped
+		// link it goes out in paceChunkBytes chunks with the transmission
+		// debt paid between them — modeling the burst draining through a
+		// rate-limited pipe, and keeping the peer's receive rate at
 		// the modeled rate (see paceChunkBytes).
 		rate := rt.fabric.Bandwidth(l.from, l.to)
 		limit := 0
@@ -1270,7 +1168,7 @@ func (l *link) writeLoop() {
 		}
 		l.pend = pend[:0]
 		if err == nil {
-			err = bw.Flush() // fd and gob frames written outside writePending
+			err = bw.Flush() // fd frames written outside writePending
 		}
 		if err != nil {
 			// Unwritten held frames stay parked for the next attempt (a
@@ -1283,8 +1181,7 @@ func (l *link) writeLoop() {
 }
 
 // writePending encodes the cycle's gathered protocol frames: one batch
-// envelope when two or more coalesced (unless Config.Uncoalesced reverts to
-// the plain per-message format), and also when a lone frame reaches the
+// envelope when two or more coalesced, and also when a lone frame reaches the
 // compression threshold — the envelope is the unit of compression, and on a
 // payload that size its preamble is noise next to the deflate win. A lone
 // frame below the threshold goes out plain: there the preamble costs more
@@ -1296,21 +1193,6 @@ func (l *link) writePending(bw *bufio.Writer, buf *[]byte, pend []outFrame, limi
 	rt := l.rt
 	if len(pend) == 0 {
 		return 0, 0, nil
-	}
-	if rt.cfg.Uncoalesced {
-		total := 0
-		for i := range pend {
-			n, werr := l.writePlain(bw, buf, pend[i])
-			total += n
-			used = i + 1
-			if werr != nil {
-				return total, used, werr
-			}
-			if limit > 0 && total >= limit {
-				break
-			}
-		}
-		return total, used, nil
 	}
 	l.bat.Begin(l.from)
 	solo := -1

@@ -47,7 +47,6 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 }
 
 func TestLiveBroadcastTotalOrder(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 2)
 	col := &metrics.Collector{}
 	rt := New(Config{
@@ -100,7 +99,6 @@ func TestLiveBroadcastTotalOrder(t *testing.T) {
 }
 
 func TestLiveMulticastGenuine(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(3, 2)
 	col := &metrics.Collector{LogSends: true}
 	rt := New(Config{
@@ -154,7 +152,6 @@ func TestLiveMulticastGenuine(t *testing.T) {
 }
 
 func TestLiveLeaderCrashRecovers(t *testing.T) {
-	RegisterWireTypes()
 	topo := types.NewTopology(2, 3)
 	rt := New(Config{
 		Topo:           topo,

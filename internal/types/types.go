@@ -186,7 +186,8 @@ func DecodeGroupSet(data []byte) (GroupSet, []byte, error) {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler so GroupSets survive
-// gob encoding on the live TCP transport despite the unexported field.
+// gob encoding (inside gob-encoded application payloads) despite the
+// unexported field.
 func (s GroupSet) MarshalBinary() ([]byte, error) {
 	return s.AppendTo(make([]byte, 0, 2+4*len(s.groups))), nil
 }

@@ -9,9 +9,9 @@
 // registry is what lets consensus values and application payloads stay
 // `any` end to end: AppendValue dispatches on the dynamic type — common
 // scalars inline, registered messages through their codec, and everything
-// else through a tagged encoding/gob blob (so arbitrary user payloads keep
-// working exactly as they did on the pure-gob transport, including the
-// gob.Register requirement for non-basic types).
+// else through a tagged encoding/gob blob inside the frame. Only application
+// payloads take that fallback — every protocol message has a codec — and
+// their non-basic types must be gob.Register'ed by the caller.
 //
 // Wire layout of one frame:
 //
@@ -28,7 +28,7 @@
 // The codec is explicitly not self-describing: both ends must run the same
 // catalog. Unknown kinds and truncated or oversized frames decode to
 // errors, never panics — the transport drops the connection and peers
-// redial, the same channel-level contract the gob stream had.
+// redial.
 package wire
 
 import (
@@ -278,8 +278,7 @@ func Intern(b []byte) string {
 
 // gobValue wraps a payload for the gob fallback: gob round-trips interface
 // values only through a concrete wrapper, and the concrete payload type must
-// be gob.Register'ed by the caller (the same contract the all-gob transport
-// had).
+// be gob.Register'ed by the caller.
 type gobValue struct{ V any }
 
 type encodeError struct{ err error }

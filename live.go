@@ -86,19 +86,11 @@ type LiveConfig struct {
 	// FlushEvery caps how long the TCP writer may coalesce frames before
 	// flushing them in one syscall (default 200 µs).
 	FlushEvery time.Duration
-	// GobCodec reverts the transport to the legacy encoding/gob stream
-	// (the benchmark baseline). The default is the zero-allocation
-	// internal/wire codec.
-	GobCodec bool
 	// Bandwidth caps every link at this many bytes per second (0 =
 	// uncapped): each TCP connection's writer paces itself to the rate.
 	// Heartbeats are exempt, so a saturated link cannot look like a crash.
 	// Commands parse human-readable rates via harness.ParseBandwidth.
 	Bandwidth int64
-	// Uncoalesced reverts the wire codec to one plain frame per protocol
-	// message — no batch envelopes, no compression. The WAN-efficiency
-	// baseline the bandwidth benchmarks compare against.
-	Uncoalesced bool
 	// CompressMin is the batch compression threshold in bytes (0 = default
 	// wire.MinCompress, negative = compression off).
 	CompressMin int
@@ -193,9 +185,9 @@ type LiveCluster struct {
 	closeOnce  sync.Once
 }
 
-// NewLiveCluster builds (but does not start) a live cluster. Protocol wire
-// types are registered with gob; register your own payload types before
-// casting non-basic values. It panics if a configured data directory
+// NewLiveCluster builds (but does not start) a live cluster. Payloads of
+// basic types ride the wire codec directly; gob-register any other payload
+// type before casting it. It panics if a configured data directory
 // cannot be opened: a cluster asked to be durable must not silently run
 // volatile.
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
@@ -208,12 +200,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 512
 	}
-	tcp.RegisterWireTypes()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
-	codec := tcp.CodecWire
-	if cfg.GobCodec {
-		codec = tcp.CodecGob
-	}
 	col := &metrics.LockedCollector{}
 	// The collector's per-cast records (each holding its deliveries) must
 	// not grow forever on a long-lived cluster: bound them like the
@@ -249,9 +236,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		InboxSize:      cfg.InboxSize,
 		SendQueue:      cfg.SendQueue,
 		FlushEvery:     cfg.FlushEvery,
-		Codec:          codec,
 		Bandwidth:      cfg.Bandwidth,
-		Uncoalesced:    cfg.Uncoalesced,
 		CompressMin:    cfg.CompressMin,
 		Recorder:       col,
 		Tracer:         tr,

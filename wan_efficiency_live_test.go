@@ -1,11 +1,11 @@
 package wanamcast
 
 // WAN bandwidth-efficiency acceptance tests: the batch-envelope wire format
-// must measurably cut bytes per ordered message against the uncoalesced
-// per-frame codec, turn that into throughput when a per-link bandwidth cap
-// makes bytes the bottleneck, and never let a saturated link masquerade as
-// a crashed peer. Byte pins compare the transports' own wire counters, so
-// they hold under the race detector; wall-clock ratios skip under it.
+// must keep bytes per ordered message under a fixed ceiling, turn that into
+// throughput when a per-link bandwidth cap makes bytes the bottleneck, and
+// never let a saturated link masquerade as a crashed peer. Byte pins read
+// the transports' own wire counters, so they hold under the race detector;
+// wall-clock floors skip under it.
 
 import (
 	"fmt"
@@ -68,87 +68,80 @@ func wanEfficiencyRun(tb testing.TB, cfg LiveConfig, casts, payloadSize int) (or
 	return float64(casts) / time.Since(start).Seconds(), l.Stats().Wire
 }
 
+// The two pins below are absolute. Each bound was set against the
+// uncoalesced per-frame wire format (one plain frame per protocol message,
+// never compressed), measured on the same runs before that format was
+// retired; EXPERIMENTS.md ("Absolute WAN-efficiency pins") has the numbers.
+const (
+	// maxWireBytesPerOp is 0.7x the lowest uncoalesced B/msg measured
+	// (12 673) for the 2x3, 512 B, 240-cast run, rounded down.
+	maxWireBytesPerOp = 8800
+	// minCappedOrderedPerSec is 1.5x the highest uncoalesced ordered/s
+	// measured (395) for the 4x3 run capped at 50 Mbit/s per link,
+	// rounded up.
+	minCappedOrderedPerSec = 600
+)
+
 // TestBatchEnvelopeCutsWireBytes is the byte-efficiency acceptance pin: at
-// MaxBatch=64 the batched-envelope codec must move every ordered message in
-// at most 70% of the wire bytes the uncoalesced per-frame codec pays — the
-// ≥30% reduction the envelope format exists for. Compared via the wire byte
+// MaxBatch=64 the batch-envelope codec must move every ordered message in
+// at most maxWireBytesPerOp wire bytes — the >=30% cut below the per-frame
+// format that the envelope exists for. Measured via the wire byte
 // counters, not wall clock, so it holds under the race detector too.
 func TestBatchEnvelopeCutsWireBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second live byte-accounting comparison")
+		t.Skip("multi-second live byte-accounting run")
 	}
-	base := LiveConfig{
+	cfg := LiveConfig{
 		Groups:   2,
 		PerGroup: 3,
+		BasePort: 28450,
 		WANDelay: 2 * time.Millisecond,
 		MaxBatch: 64,
 		Pipeline: 4,
 	}
 	const casts, size = 240, 512
-
-	uncfg := base
-	uncfg.BasePort = 28400
-	uncfg.Uncoalesced = true
-	_, unw := wanEfficiencyRun(t, uncfg, casts, size)
-
-	bcfg := base
-	bcfg.BasePort = 28450
-	_, bw := wanEfficiencyRun(t, bcfg, casts, size)
-
-	if unw.BytesOut == 0 || bw.BytesOut == 0 {
-		t.Fatalf("wire counters silent: uncoalesced %d, batched %d", unw.BytesOut, bw.BytesOut)
+	_, w := wanEfficiencyRun(t, cfg, casts, size)
+	if w.BytesOut == 0 {
+		t.Fatal("wire counters silent")
 	}
-	unPerOp := float64(unw.BytesOut) / casts
-	bPerOp := float64(bw.BytesOut) / casts
-	t.Logf("wire bytes per ordered message: uncoalesced %.0f, batched %.0f (%.1f%% reduction; %.1f frames/write, compression %.2fx)",
-		unPerOp, bPerOp, 100*(1-bPerOp/unPerOp), bw.FramesPerEnvelope(), bw.CompressionRatio())
-	if bPerOp > 0.7*unPerOp {
-		t.Fatalf("batched codec pays %.0f B/msg vs uncoalesced %.0f B/msg: less than the required 30%% reduction", bPerOp, unPerOp)
-	}
-	if fpe := unw.FramesPerEnvelope(); fpe != 1 {
-		t.Fatalf("uncoalesced run coalesced anyway: %.2f frames/write", fpe)
+	perOp := float64(w.BytesOut) / casts
+	t.Logf("wire bytes per ordered message: %.0f (ceiling %d; %.1f frames/write, compression %.2fx)",
+		perOp, maxWireBytesPerOp, w.FramesPerEnvelope(), w.CompressionRatio())
+	if perOp > maxWireBytesPerOp {
+		t.Fatalf("batch-envelope codec pays %.0f B/msg, above the %d B/msg ceiling", perOp, maxWireBytesPerOp)
 	}
 }
 
 // TestBandwidthCapThroughputMultiplier is the throughput acceptance pin:
-// on a 4x3 cluster whose every link is capped at 50 Mbit/s, the batched
-// codec must order at least 1.5x the messages per second of the uncoalesced
-// codec under the same cap — fewer bytes per message turning directly into
-// ordering rate once the wire is the bottleneck.
+// on a 4x3 cluster whose every link is capped at 50 Mbit/s, the
+// batch-envelope codec must order at least minCappedOrderedPerSec messages
+// per second — fewer bytes per message turning directly into ordering rate
+// once the wire is the bottleneck.
 func TestBandwidthCapThroughputMultiplier(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-second live throughput comparison")
+		t.Skip("multi-second live throughput run")
 	}
 	if raceEnabled {
-		t.Skip("wall-clock throughput ratio under the race detector")
+		t.Skip("wall-clock throughput floor under the race detector")
 	}
 	rate, err := harness.ParseBandwidth("50mbit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := LiveConfig{
+	cfg := LiveConfig{
 		Groups:    4,
 		PerGroup:  3,
+		BasePort:  28560,
 		WANDelay:  2 * time.Millisecond,
 		MaxBatch:  64,
 		Pipeline:  4,
 		Bandwidth: rate,
 	}
 	const casts, size = 360, 4096
-
-	uncfg := base
-	uncfg.BasePort = 28500
-	uncfg.Uncoalesced = true
-	unRate, unw := wanEfficiencyRun(t, uncfg, casts, size)
-
-	bcfg := base
-	bcfg.BasePort = 28560
-	bRate, bw := wanEfficiencyRun(t, bcfg, casts, size)
-
-	t.Logf("ordered/sec at 50 Mbit/s per link: uncoalesced %.0f (%d B), batched %.0f (%d B) — %.2fx",
-		unRate, unw.BytesOut, bRate, bw.BytesOut, bRate/unRate)
-	if bRate < 1.5*unRate {
-		t.Fatalf("batched codec only %.2fx the uncoalesced rate under the cap, want >= 1.5x", bRate/unRate)
+	got, w := wanEfficiencyRun(t, cfg, casts, size)
+	t.Logf("ordered/sec at 50 Mbit/s per link: %.0f (%d B; floor %d)", got, w.BytesOut, minCappedOrderedPerSec)
+	if got < minCappedOrderedPerSec {
+		t.Fatalf("batch-envelope codec orders %.0f/s under the cap, want >= %d/s", got, minCappedOrderedPerSec)
 	}
 }
 

@@ -214,10 +214,7 @@ func main() {
 		// Busy-with-nothing-newer, so the group concludes nobody holds
 		// more and resumes — skipping the sync here would leave the gate
 		// armed forever.
-		rt.Run(self, func() {
-			a1.StartSync()
-			a2.StartSync()
-		})
+		rt.Run(self, dnode.StartSync)
 		if recovered {
 			fmt.Printf("[%v] recovered from %s (a1 deliveries=%d, a2 round=%d); syncing with group peers\n",
 				self, *dataDir, a1.Delivered(), a2.Round())

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wanamcast/internal/catchup"
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
@@ -149,28 +150,8 @@ type Bcast struct {
 	rdAt       map[types.MessageID]time.Duration // R-Delivery times, kept only while tracing
 
 	// Durability & recovery state (see Config.Log).
-	log        *storage.Log
-	archive    []roundUnion // completed rounds [archBase, k)
-	archBase   uint64       // first archived round (rounds start at 1)
-	archCap    int
-	syncing    bool // state transfer in progress: round completion gated
-	syncFailed bool // transfer abandoned (peers' archives rotated past us)
-	syncHeard  map[types.ProcessID]syncPeerInfo
-	onSynced   func()
-	onFailed   func() // OnSyncFailed
-}
-
-// syncPeerInfo is the latest sync answer seen from one group peer.
-type syncPeerInfo struct {
-	next uint64
-	busy bool
-}
-
-// roundUnion is one completed round's delivered union, archived for
-// restarted peers.
-type roundUnion struct {
-	round uint64
-	set   []Record
+	log  *storage.Log
+	sync *catchup.Engine[[]Record, SyncTail] // entries: completed rounds' unions
 }
 
 var _ node.Protocol = (*Bcast)(nil)
@@ -189,10 +170,6 @@ func New(cfg Config) *Bcast {
 	if keepAlive == 0 {
 		keepAlive = 1
 	}
-	archCap := cfg.SyncArchive
-	if archCap <= 0 {
-		archCap = 4096
-	}
 	b := &Bcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
@@ -207,10 +184,6 @@ func New(cfg Config) *Bcast {
 		inDecided:  make(map[types.MessageID]bool),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
-		archBase:   1,
-		archCap:    archCap,
-		onSynced:   cfg.OnSynced,
-		onFailed:   cfg.OnSyncFailed,
 	}
 	if b.nextID == nil {
 		b.nextID = func() types.MessageID {
@@ -237,6 +210,20 @@ func New(cfg Config) *Bcast {
 		Base:          func() uint64 { return b.k },
 		OnDecide:      b.shipBundle,
 		OnApply:       b.applyRound,
+	})
+	b.sync = catchup.New(catchup.Config[[]Record, SyncTail]{
+		API:      cfg.Host,
+		Label:    prefix,
+		Chunk:    syncChunk,
+		Archive:  cfg.SyncArchive,
+		Codec:    syncCodec,
+		Position: b.Round,
+		Apply:    func(union []Record) { b.applySyncRound(b.k, union, false) },
+		Tail:     b.syncTail,
+		Adopt:    b.adoptTail,
+		Resume:   b.resume,
+		OnSynced: cfg.OnSynced,
+		OnFailed: cfg.OnSyncFailed,
 	})
 	cfg.Host.Register(b.rm)
 	cfg.Host.Register(b.engine.Protocol())
@@ -294,12 +281,10 @@ func (b *Bcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case BundleMsg:
 		b.handleBundle(b.api.Topo().GroupOf(from), m.Round, m.Set, false)
-	case SyncReq:
-		b.onSyncReq(from, m)
-	case SyncResp:
-		b.onSyncResp(from, m)
 	default:
-		panic(fmt.Sprintf("abcast: unexpected message %T", body))
+		if !b.sync.Receive(from, body) {
+			panic(fmt.Sprintf("abcast: unexpected message %T", body))
+		}
 	}
 }
 
@@ -395,7 +380,7 @@ func (b *Bcast) applyRound(inst uint64, set []Record) {
 // our own round-K bundle is decided and a bundle from every other group has
 // arrived, execute lines 17–23.
 func (b *Bcast) tryCompleteRound() {
-	if b.syncing {
+	if b.sync.Syncing() {
 		// State transfer in progress: rounds this process missed must be
 		// adopted (in order) before any new round may deliver.
 		return
@@ -425,6 +410,18 @@ func (b *Bcast) tryCompleteRound() {
 	}
 	// Line 19: deterministic order — ascending message ID.
 	sort.Slice(union, func(i, j int) bool { return union[i].ID.Less(union[j].ID) })
+	b.completeRound(union, false)
+	// An already-received decision or bundle may complete the next round.
+	b.engine.Pump()
+	b.tryCompleteRound()
+}
+
+// completeRound executes lines 17–23 for round K with its (sorted) union:
+// A-Deliver every record not yet delivered, drop the round's working
+// state, archive the union for restarted peers, advance K, and keep rounds
+// running if this one was useful. synced marks a round adopted by state
+// transfer rather than completed here.
+func (b *Bcast) completeRound(union []Record, synced bool) {
 	for _, rec := range union {
 		delete(b.inDecided, rec.ID)
 		delete(b.rdelivered, rec.ID)
@@ -440,7 +437,11 @@ func (b *Bcast) tryCompleteRound() {
 			delete(b.rdAt, rec.ID)
 		}
 		b.api.RecordDeliver(rec.ID)
-		b.api.Tracef("a2: A-Deliver %v in round %d", rec.ID, b.k)
+		if synced {
+			b.api.Tracef("a2: A-Deliver %v in round %d (state transfer)", rec.ID, b.k)
+		} else {
+			b.api.Tracef("a2: A-Deliver %v in round %d", rec.ID, b.k)
+		}
 		if b.onDeliver != nil {
 			b.onDeliver(rec.ID, rec.Payload)
 		}
@@ -458,7 +459,7 @@ func (b *Bcast) tryCompleteRound() {
 	}
 	delete(b.bundles, b.k)
 	delete(b.decided, b.k)
-	b.archiveRound(b.k, union)
+	b.sync.Archive(union)
 	// Line 21.
 	b.k++
 	// Lines 22–23: keep rounds running only if this one was useful. The
@@ -467,7 +468,4 @@ func (b *Bcast) tryCompleteRound() {
 	if len(union) > 0 && b.k+b.keepAlive-1 > b.barrier {
 		b.barrier = b.k + b.keepAlive - 1
 	}
-	// An already-received decision or bundle may complete the next round.
-	b.engine.Pump()
-	b.tryCompleteRound()
 }

@@ -7,39 +7,30 @@
 // the WAL tail — decisions, remote-bundle receipts, adopted rounds —
 // through the same code paths that produced them.
 //
-// State transfer is round shipping: every group member completes the same
-// rounds with the same unions, so a restarted process asks its same-group
-// peers for the archived unions from its round onward, applies them in
-// order (delivering what it had not delivered), then adopts the peer's
-// engine horizon, Barrier, and in-flight remote bundles. Until then round
-// completion is gated.
+// State transfer runs on the shared catch-up engine (internal/catchup).
+// Every group member completes the same rounds with the same unions, so
+// an entry is one completed round's delivered union and the position is
+// the round K; once caught up, the requester adopts a peer's tail
+// (SyncTail: its Barrier and in-flight remote bundles) and its engine
+// horizon. Until then round completion is gated.
 package abcast
 
 import (
 	"sort"
-	"time"
 
+	"wanamcast/internal/catchup"
 	"wanamcast/internal/storage"
 	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
-// syncBatch bounds the rounds one SyncResp carries.
-const syncBatch = 128
+// syncChunk bounds the rounds one catch-up answer carries.
+const syncChunk = 128
 
-// syncRetryEvery is the re-request period while a state transfer is
-// outstanding.
-const syncRetryEvery = 100 * time.Millisecond
-
-// SyncReq asks a group peer for completed rounds from From onward.
-type SyncReq struct {
-	From uint64
-}
-
-// RoundSet is one completed round's delivered union.
-type RoundSet struct {
-	Round uint64
-	Set   []Record
+// SyncTail is the in-flight state a caught-up requester adopts.
+type SyncTail struct {
+	Barrier uint64
+	Bundles []GroupBundle // remote bundles for uncompleted rounds
 }
 
 // GroupBundle is one received (still in-flight) remote bundle.
@@ -49,30 +40,20 @@ type GroupBundle struct {
 	Set   []Record
 }
 
-// SyncResp is the bounded state-transfer answer.
-type SyncResp struct {
-	Base    uint64     // first round in Rounds
-	Rounds  []RoundSet // consecutive completed rounds [Base, Base+len)
-	Next    uint64     // responder's current round K
-	Applied uint64     // responder's applied consensus instances
-	Barrier uint64
-	// Bundles (remote bundles for rounds >= Next) ride only the response
-	// that completes the catch-up; chunked responses omit them.
-	Bundles []GroupBundle
-	TooFar  bool
-	// Busy marks a responder that is itself recovering; see the amcast
-	// counterpart — when EVERY group peer is Busy with nothing newer, the
-	// whole group is restarting together and the requester resumes.
-	Busy bool
-}
-
-// archiveRound retains one completed round for restarted peers.
-func (b *Bcast) archiveRound(round uint64, union []Record) {
-	if b.archCap <= 0 {
-		return
-	}
-	b.archive, _ = storage.TrimTail(append(b.archive, roundUnion{round: round, set: union}), b.archCap)
-	b.archBase = b.archive[0].round
+// syncCodec encodes A2's catch-up entries (round unions) and tail.
+var syncCodec = catchup.Codec[[]Record, SyncTail]{
+	AppendEntry: AppendRecords,
+	DecodeEntry: DecodeRecords,
+	AppendTail: func(buf []byte, t SyncTail) []byte {
+		return appendGroupBundles(wire.AppendUvarint(buf, t.Barrier), t.Bundles)
+	},
+	DecodeTail: func(data []byte) (t SyncTail, rest []byte, err error) {
+		if t.Barrier, data, err = wire.Uvarint(data); err != nil {
+			return t, nil, err
+		}
+		t.Bundles, data, err = decodeGroupBundles(data)
+		return t, data, err
+	},
 }
 
 // --- snapshot ---------------------------------------------------------------
@@ -88,26 +69,8 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 	for _, id := range b.rdOrder {
 		buf = b.rdelivered[id].AppendTo(buf)
 	}
-	// ADELIVERED ids, sorted.
-	ids := make([]types.MessageID, 0, len(b.adelivered))
-	for id := range b.adelivered {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
-	// inDecided ids, sorted.
-	ids = ids[:0]
-	for id := range b.inDecided {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	buf = wire.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = id.AppendTo(buf)
-	}
+	buf = storage.AppendIDSet(buf, b.adelivered)
+	buf = storage.AppendIDSet(buf, b.inDecided)
 	// Own decided bundles for uncompleted rounds.
 	rounds := make([]uint64, 0, len(b.decided))
 	for r := range b.decided {
@@ -119,21 +82,8 @@ func (b *Bcast) AppendSnapshot(buf []byte) []byte {
 		buf = wire.AppendUvarint(buf, r)
 		buf = AppendRecords(buf, b.decided[r])
 	}
-	// Remote bundles for uncompleted rounds, sorted by (round, group).
-	var gbs []GroupBundle
-	for r, perGroup := range b.bundles {
-		for g, set := range perGroup {
-			gbs = append(gbs, GroupBundle{Round: r, Group: g, Set: set})
-		}
-	}
-	sortGroupBundles(gbs)
-	buf = appendGroupBundles(buf, gbs)
-	// Completed-round archive.
-	buf = wire.AppendUvarint(buf, uint64(len(b.archive)))
-	for _, ru := range b.archive {
-		buf = wire.AppendUvarint(buf, ru.round)
-		buf = AppendRecords(buf, ru.set)
-	}
+	buf = appendGroupBundles(buf, b.remoteBundles())
+	buf = b.sync.AppendArchive(buf)
 	// The ordering engine, length-prefixed.
 	return wire.AppendBytes(buf, b.engine.AppendSnapshot(nil))
 }
@@ -162,25 +112,11 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		b.rdelivered[r.ID] = r
 		b.rdOrder = append(b.rdOrder, r.ID)
 	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = storage.RestoreIDSet(data, b.adelivered); err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err != nil {
-			return err
-		}
-		b.adelivered[id] = true
-	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = storage.RestoreIDSet(data, b.inDecided); err != nil {
 		return err
-	}
-	for i := 0; i < n; i++ {
-		var id types.MessageID
-		if id, data, err = types.DecodeMessageID(data); err != nil {
-			return err
-		}
-		b.inDecided[id] = true
 	}
 	if n, data, err = wire.SliceLen(data); err != nil {
 		return err
@@ -208,24 +144,8 @@ func (b *Bcast) RestoreSnapshot(data []byte) error {
 		}
 		perGroup[gb.Group] = gb.Set
 	}
-	if n, data, err = wire.SliceLen(data); err != nil {
+	if data, err = b.sync.RestoreArchive(data); err != nil {
 		return err
-	}
-	b.archive = b.archive[:0]
-	for i := 0; i < n; i++ {
-		var ru roundUnion
-		if ru.round, data, err = wire.Uvarint(data); err != nil {
-			return err
-		}
-		if ru.set, data, err = DecodeRecords(data); err != nil {
-			return err
-		}
-		b.archive = append(b.archive, ru)
-	}
-	if len(b.archive) > 0 {
-		b.archBase = b.archive[0].round
-	} else {
-		b.archBase = b.k
 	}
 	var engineBlob []byte
 	if engineBlob, _, err = wire.Bytes(data); err != nil {
@@ -268,11 +188,8 @@ func (b *Bcast) ReplayRecord(rec storage.Record) error {
 // of the endpoint's consensus records).
 func (b *Bcast) EngineLabel() string { return b.engine.Label() }
 
-// Syncing reports whether a state transfer is in progress.
-func (b *Bcast) Syncing() bool { return b.syncing }
-
-// SyncFailed reports an abandoned state transfer (see amcast.SyncFailed).
-func (b *Bcast) SyncFailed() bool { return b.syncFailed }
+// Syncing reports whether round completion is gated by a state transfer.
+func (b *Bcast) Syncing() bool { return b.sync.Syncing() }
 
 // Watermark returns how many messages this endpoint has A-Delivered,
 // readable lock-free from any goroutine (the read tier's delivery
@@ -280,152 +197,10 @@ func (b *Bcast) SyncFailed() bool { return b.syncFailed }
 func (b *Bcast) Watermark() uint64 { return b.wm.Load() }
 
 // StartSync begins catch-up from the same-group peers after a restart.
-func (b *Bcast) StartSync() {
-	if len(b.api.Topo().Members(b.api.Group())) <= 1 {
-		b.finishSync()
-		return
-	}
-	b.syncing = true
-	b.syncFailed = false
-	b.syncHeard = make(map[types.ProcessID]syncPeerInfo)
-	b.sendSyncReq()
-	b.armSyncRetry()
-}
-
-func (b *Bcast) sendSyncReq() {
-	self := b.api.Self()
-	var tos []types.ProcessID
-	for _, q := range b.api.Topo().Members(b.api.Group()) {
-		if q != self {
-			tos = append(tos, q)
-		}
-	}
-	b.api.Multicast(tos, b.label, SyncReq{From: b.k})
-}
-
-func (b *Bcast) armSyncRetry() {
-	b.api.After(syncRetryEvery, func() {
-		if !b.syncing || b.syncFailed {
-			return
-		}
-		b.sendSyncReq()
-		b.armSyncRetry()
-	})
-}
-
-// onSyncReq serves a restarted peer from the completed-round archive. A
-// responder that is itself syncing answers Busy: archived rounds are
-// immutable facts, but its in-flight state must not be adopted.
-func (b *Bcast) onSyncReq(from types.ProcessID, m SyncReq) {
-	resp := SyncResp{Base: m.From, Next: b.k, Applied: b.engine.AppliedInstances(),
-		Barrier: b.barrier, Busy: b.syncing}
-	if m.From < b.archBase {
-		resp.TooFar = true
-		b.api.Send(from, b.label, resp)
-		return
-	}
-	end := m.From + syncBatch
-	if end > b.k {
-		end = b.k
-	}
-	for r := m.From; r < end; r++ {
-		resp.Rounds = append(resp.Rounds, RoundSet{Round: r, Set: b.archive[r-b.archBase].set})
-	}
-	// In-flight bundles ride only the response that completes the catch-up.
-	if !resp.Busy && end == b.k {
-		for r, perGroup := range b.bundles {
-			for g, set := range perGroup {
-				resp.Bundles = append(resp.Bundles, GroupBundle{Round: r, Group: g, Set: set})
-			}
-		}
-		sortGroupBundles(resp.Bundles)
-	}
-	b.api.Send(from, b.label, resp)
-}
-
-// onSyncResp consumes one state-transfer answer.
-func (b *Bcast) onSyncResp(from types.ProcessID, m SyncResp) {
-	if !b.syncing {
-		return
-	}
-	if m.TooFar {
-		// Terminal; see the amcast counterpart.
-		b.api.Tracef("a2: peer archive no longer covers round %d; cannot catch up by log transfer (sync abandoned)", b.k)
-		b.syncFailed = true
-		if b.onFailed != nil {
-			b.onFailed()
-		}
-		return
-	}
-	progressed := false
-	for _, rs := range m.Rounds {
-		if rs.Round == b.k {
-			b.applySyncRound(rs.Round, rs.Set, false)
-			progressed = true
-		}
-	}
-	b.syncHeard[from] = syncPeerInfo{next: m.Next, busy: m.Busy}
-	switch {
-	case !m.Busy && b.k >= m.Next:
-		// Caught up with a serving peer: adopt its in-flight bundles and
-		// horizon.
-		for _, gb := range m.Bundles {
-			b.adoptBundle(gb)
-		}
-		if m.Barrier > b.barrier {
-			b.barrier = m.Barrier
-		}
-		b.engine.SkipTo(m.Applied + 1)
-		b.finishSync()
-	case progressed:
-		b.sendSyncReq()
-	default:
-		b.maybeFinishGroupRestart()
-	}
-}
-
-// maybeFinishGroupRestart resumes when every group peer has answered Busy
-// with no round newer than ours — the full-group restart case; see the
-// amcast counterpart.
-func (b *Bcast) maybeFinishGroupRestart() {
-	self := b.api.Self()
-	for _, q := range b.api.Topo().Members(b.api.Group()) {
-		if q == self {
-			continue
-		}
-		info, ok := b.syncHeard[q]
-		if !ok || !info.busy || info.next > b.k {
-			return
-		}
-	}
-	b.api.Tracef("a2: whole group restarting, no peer ahead of round %d; resuming", b.k)
-	b.finishSync()
-}
-
-// adoptBundle installs one in-flight remote bundle learned via sync.
-func (b *Bcast) adoptBundle(gb GroupBundle) {
-	if gb.Round < b.k {
-		return
-	}
-	perGroup := b.bundles[gb.Round]
-	if perGroup == nil {
-		perGroup = make(map[types.GroupID][]Record)
-		b.bundles[gb.Round] = perGroup
-	}
-	if _, seen := perGroup[gb.Group]; seen {
-		return
-	}
-	perGroup[gb.Group] = gb.Set
-	b.log.Append(storage.Record{Kind: storage.KindBundle, Proto: b.label,
-		Inst: gb.Round, Aux: uint64(gb.Group), Value: gb.Set})
-	if gb.Round > b.barrier {
-		b.barrier = gb.Round
-	}
-}
+func (b *Bcast) StartSync() { b.sync.Start() }
 
 // applySyncRound repeats one round the group completed while this process
-// was down: deliver its union's undelivered records in the deterministic
-// order and advance K. replay marks WAL replay (no re-logging).
+// was down. replay marks WAL replay (no re-logging).
 func (b *Bcast) applySyncRound(round uint64, union []Record, replay bool) {
 	if round != b.k {
 		return
@@ -433,65 +208,56 @@ func (b *Bcast) applySyncRound(round uint64, union []Record, replay bool) {
 	if !replay {
 		b.log.Append(storage.Record{Kind: storage.KindRound, Proto: b.label, Inst: round, Value: union})
 	}
-	for _, rec := range union {
-		delete(b.inDecided, rec.ID)
-		if _, ok := b.rdelivered[rec.ID]; ok {
-			delete(b.rdelivered, rec.ID)
-			b.compactRDOrder()
-		}
-		if b.adelivered[rec.ID] {
-			continue
-		}
-		b.adelivered[rec.ID] = true
-		b.wm.Add(1)
-		b.api.RecordDeliver(rec.ID)
-		b.api.Tracef("a2: A-Deliver %v in round %d (state transfer)", rec.ID, round)
-		if b.onDeliver != nil {
-			b.onDeliver(rec.ID, rec.Payload)
-		}
-	}
-	delete(b.bundles, round)
-	delete(b.decided, round)
-	b.archiveRound(round, union)
-	b.k++
-	if len(union) > 0 && b.k+b.keepAlive-1 > b.barrier {
-		b.barrier = b.k + b.keepAlive - 1
-	}
+	b.completeRound(union, true)
 }
 
-// compactRDOrder drops R-Delivery order entries whose records are gone.
-func (b *Bcast) compactRDOrder() {
-	kept := b.rdOrder[:0]
-	for _, id := range b.rdOrder {
-		if _, ok := b.rdelivered[id]; ok {
-			kept = append(kept, id)
+// syncTail is the in-flight state a caught-up peer adopts.
+func (b *Bcast) syncTail() SyncTail {
+	return SyncTail{Barrier: b.barrier, Bundles: b.remoteBundles()}
+}
+
+// remoteBundles lists the received remote bundles of uncompleted rounds,
+// sorted by (round, group).
+func (b *Bcast) remoteBundles() []GroupBundle {
+	var gbs []GroupBundle
+	for r, perGroup := range b.bundles {
+		for g, set := range perGroup {
+			gbs = append(gbs, GroupBundle{Round: r, Group: g, Set: set})
 		}
 	}
-	b.rdOrder = kept
-}
-
-// finishSync ends the transfer: round completion resumes and the engine
-// pumps; the host is told so it can snapshot the synced state.
-func (b *Bcast) finishSync() {
-	b.syncing = false
-	b.syncHeard = nil
-	b.engine.Pump()
-	b.tryCompleteRound()
-	if b.onSynced != nil {
-		b.onSynced()
-	}
-}
-
-// --- helpers ----------------------------------------------------------------
-
-func sortGroupBundles(gbs []GroupBundle) {
 	sort.Slice(gbs, func(i, j int) bool {
 		if gbs[i].Round != gbs[j].Round {
 			return gbs[i].Round < gbs[j].Round
 		}
 		return gbs[i].Group < gbs[j].Group
 	})
+	return gbs
 }
+
+// adoptTail installs a caught-up peer's Barrier and in-flight bundles,
+// and moves the engine horizon past the rounds adopted as entries. An A2
+// instance is a round, so the horizon is K, not the peer's applied
+// instances: the peer may have applied instances whose rounds still wait
+// for remote bundles, and skipping those decisions would strand this
+// process at that round for good. It learns them through consensus.
+func (b *Bcast) adoptTail(t SyncTail) {
+	if t.Barrier > b.barrier {
+		b.barrier = t.Barrier
+	}
+	b.engine.SkipTo(b.k)
+	for _, gb := range t.Bundles {
+		b.handleBundle(gb.Group, gb.Round, gb.Set, false)
+	}
+}
+
+// resume runs when the transfer ends: the engine pumps and round
+// completion resumes.
+func (b *Bcast) resume() {
+	b.engine.Pump()
+	b.tryCompleteRound()
+}
+
+// --- helpers ----------------------------------------------------------------
 
 func appendGroupBundles(buf []byte, gbs []GroupBundle) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(gbs)))

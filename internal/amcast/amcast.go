@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wanamcast/internal/catchup"
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/node"
@@ -179,22 +180,9 @@ type Mcast struct {
 	nextID     func() types.MessageID
 
 	// Durability & recovery state (see Config.Log).
-	log        *storage.Log
-	delivered  uint64       // total A-Deliveries at this process
-	archive    []DeliverRec // recent deliveries [archiveBase, delivered)
-	archBase   uint64
-	archCap    int
-	syncing    bool // state transfer in progress: organic delivery gated
-	syncFailed bool // transfer abandoned (peers' archives rotated past us)
-	syncHeard  map[types.ProcessID]syncPeerInfo
-	onSynced   func()
-	onFailed   func() // OnSyncFailed
-}
-
-// syncPeerInfo is the latest sync answer seen from one group peer.
-type syncPeerInfo struct {
-	next uint64
-	busy bool
+	log       *storage.Log
+	delivered uint64 // total A-Deliveries at this process
+	sync      *catchup.Engine[DeliverRec, SyncTail]
 }
 
 var _ node.Protocol = (*Mcast)(nil)
@@ -213,10 +201,6 @@ func New(cfg Config) *Mcast {
 	if mode == 0 {
 		mode = rmcast.ModeDirect
 	}
-	archCap := cfg.SyncArchive
-	if archCap <= 0 {
-		archCap = 4096
-	}
 	a := &Mcast{
 		api:        cfg.Host,
 		onDeliver:  cfg.OnDeliver,
@@ -228,9 +212,6 @@ func New(cfg Config) *Mcast {
 		tsProps:    make(map[types.MessageID]map[types.GroupID]uint64),
 		nextID:     cfg.NextID,
 		log:        cfg.Log,
-		archCap:    archCap,
-		onSynced:   cfg.OnSynced,
-		onFailed:   cfg.OnSyncFailed,
 	}
 	if a.nextID == nil {
 		a.nextID = func() types.MessageID {
@@ -254,6 +235,20 @@ func New(cfg Config) *Mcast {
 		Log:           cfg.Log,
 		Fill:          a.fillBatch,
 		OnApply:       a.processDecision,
+	})
+	a.sync = catchup.New(catchup.Config[DeliverRec, SyncTail]{
+		API:      cfg.Host,
+		Label:    prefix,
+		Chunk:    syncChunk,
+		Archive:  cfg.SyncArchive,
+		Codec:    syncCodec,
+		Position: a.Delivered,
+		Apply:    func(dr DeliverRec) { a.applySyncDeliver(dr, false) },
+		Tail:     a.syncTail,
+		Adopt:    a.adoptTail,
+		Resume:   a.resume,
+		OnSynced: cfg.OnSynced,
+		OnFailed: cfg.OnSyncFailed,
 	})
 	cfg.Host.Register(a.rm)
 	cfg.Host.Register(a.engine.Protocol())
@@ -292,12 +287,10 @@ func (a *Mcast) Receive(from types.ProcessID, body any) {
 	switch m := body.(type) {
 	case TSMsg:
 		a.handleTS(a.api.Topo().GroupOf(from), m.Desc, false)
-	case SyncReq:
-		a.onSyncReq(from, m)
-	case SyncResp:
-		a.onSyncResp(from, m)
 	default:
-		panic(fmt.Sprintf("amcast: unexpected message %T", body))
+		if !a.sync.Receive(from, body) {
+			panic(fmt.Sprintf("amcast: unexpected message %T", body))
+		}
 	}
 }
 
@@ -531,7 +524,7 @@ func (a *Mcast) checkStage1(id types.MessageID) {
 // process missed must land first (in the group's order), or the local
 // sequence would diverge from the group's.
 func (a *Mcast) adeliveryTest() {
-	if a.syncing {
+	if a.sync.Syncing() {
 		return
 	}
 	for {
@@ -548,28 +541,29 @@ func (a *Mcast) adeliveryTest() {
 			// Ordering residency: admit → deliverable-and-minimal.
 			a.api.Trace(trace.StageOrder, min.id, int64(a.api.Now()-min.adm))
 		}
-		a.api.RecordDeliver(min.id)
-		a.adelivered[min.id] = true
-		delete(a.pending, min.id)
-		delete(a.tsProps, min.id)
-		a.recordDelivered(DeliverRec{ID: min.id, Dest: min.dest, TS: min.ts, Payload: min.payload})
-		a.api.Tracef("a1: A-Deliver %v ts=%d", min.id, min.ts)
-		if a.onDeliver != nil {
-			a.onDeliver(rmcast.Message{ID: min.id, Dest: min.dest, Payload: min.payload})
-		}
+		a.deliver(DeliverRec{ID: min.id, Dest: min.dest, TS: min.ts, Payload: min.payload}, false)
 	}
 }
 
-// recordDelivered advances the delivery counter and the bounded archive
-// that serves restarted peers' state transfers.
-func (a *Mcast) recordDelivered(dr DeliverRec) {
+// deliver A-Delivers one message: it leaves PENDING, joins ADELIVERED,
+// advances the delivery count, and is archived for restarted peers. synced
+// marks a delivery adopted by state transfer rather than ordered here.
+func (a *Mcast) deliver(dr DeliverRec, synced bool) {
+	a.api.RecordDeliver(dr.ID)
+	a.adelivered[dr.ID] = true
+	delete(a.pending, dr.ID)
+	delete(a.tsProps, dr.ID)
+	a.sync.Archive(dr)
 	a.delivered++
 	a.wm.Store(a.delivered)
-	if a.archCap <= 0 {
-		return
+	if synced {
+		a.api.Tracef("a1: A-Deliver %v ts=%d (state transfer)", dr.ID, dr.TS)
+	} else {
+		a.api.Tracef("a1: A-Deliver %v ts=%d", dr.ID, dr.TS)
 	}
-	a.archive, _ = storage.TrimTail(append(a.archive, dr), a.archCap)
-	a.archBase = a.delivered - uint64(len(a.archive))
+	if a.onDeliver != nil {
+		a.onDeliver(rmcast.Message{ID: dr.ID, Dest: dr.Dest, Payload: dr.Payload})
+	}
 }
 
 // sortDescriptors orders a proposal deterministically by message ID.

@@ -1,6 +1,6 @@
 // Wire codecs for Algorithm A1's messages (see internal/wire): the (TS, m)
-// descriptor message and the []Descriptor batches that travel as consensus
-// values.
+// descriptor message, the []Descriptor batches that travel as consensus
+// values, and the catch-up answer (recover.go's syncCodec).
 package amcast
 
 import (
@@ -15,12 +15,7 @@ func init() {
 		func(buf []byte, m TSMsg) []byte { return m.AppendTo(buf) },
 		func(data []byte) (m TSMsg, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
 	wire.Register(wire.KindAMcastDescriptors, AppendDescriptors, DecodeDescriptors)
-	wire.Register(wire.KindA1SyncReq,
-		func(buf []byte, m SyncReq) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncReq, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
-	wire.Register(wire.KindA1SyncResp,
-		func(buf []byte, m SyncResp) []byte { return m.AppendTo(buf) },
-		func(data []byte) (m SyncResp, rest []byte, err error) { rest, err = m.DecodeFrom(data); return })
+	syncCodec.Register(wire.KindA1SyncResp)
 }
 
 // AppendTo appends d's wire encoding.
@@ -56,95 +51,6 @@ func (m TSMsg) AppendTo(buf []byte) []byte { return m.Desc.AppendTo(buf) }
 
 // DecodeFrom decodes m from data and returns the remainder.
 func (m *TSMsg) DecodeFrom(data []byte) ([]byte, error) { return m.Desc.DecodeFrom(data) }
-
-// AppendTo appends m's wire encoding.
-func (m SyncReq) AppendTo(buf []byte) []byte { return wire.AppendUvarint(buf, m.From) }
-
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncReq) DecodeFrom(data []byte) (rest []byte, err error) {
-	m.From, data, err = wire.Uvarint(data)
-	return data, err
-}
-
-// AppendTo appends m's wire encoding.
-func (m SyncResp) AppendTo(buf []byte) []byte {
-	buf = wire.AppendUvarint(buf, m.Base)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Deliveries)))
-	for _, dr := range m.Deliveries {
-		buf = appendDeliverRec(buf, dr)
-	}
-	buf = wire.AppendUvarint(buf, m.Next)
-	buf = wire.AppendUvarint(buf, m.Applied)
-	buf = wire.AppendUvarint(buf, m.K)
-	buf = AppendDescriptors(buf, m.Pending)
-	buf = wire.AppendUvarint(buf, uint64(len(m.Props)))
-	for _, pr := range m.Props {
-		buf = pr.ID.AppendTo(buf)
-		buf = wire.AppendVarint(buf, int64(pr.Group))
-		buf = wire.AppendUvarint(buf, pr.TS)
-	}
-	flags := byte(0)
-	if m.TooFar {
-		flags |= 1
-	}
-	if m.Busy {
-		flags |= 2
-	}
-	return append(buf, flags)
-}
-
-// DecodeFrom decodes m from data and returns the remainder.
-func (m *SyncResp) DecodeFrom(data []byte) (rest []byte, err error) {
-	if m.Base, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	var n int
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var dr DeliverRec
-		if dr, data, err = decodeDeliverRec(data); err != nil {
-			return nil, err
-		}
-		m.Deliveries = append(m.Deliveries, dr)
-	}
-	if m.Next, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Applied, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.K, data, err = wire.Uvarint(data); err != nil {
-		return nil, err
-	}
-	if m.Pending, data, err = DecodeDescriptors(data); err != nil {
-		return nil, err
-	}
-	if n, data, err = wire.SliceLen(data); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var pr PropEntry
-		if pr.ID, data, err = types.DecodeMessageID(data); err != nil {
-			return nil, err
-		}
-		var g int64
-		if g, data, err = wire.Varint(data); err != nil {
-			return nil, err
-		}
-		pr.Group = types.GroupID(g)
-		if pr.TS, data, err = wire.Uvarint(data); err != nil {
-			return nil, err
-		}
-		m.Props = append(m.Props, pr)
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: sync resp flags", wire.ErrCorrupt)
-	}
-	m.TooFar, m.Busy, data = data[0]&1 != 0, data[0]&2 != 0, data[1:]
-	return data, nil
-}
 
 // AppendDescriptors appends a descriptor batch (an A1 consensus value).
 //

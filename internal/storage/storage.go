@@ -26,8 +26,10 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
+	"wanamcast/internal/types"
 	"wanamcast/internal/wire"
 )
 
@@ -306,4 +308,36 @@ func Sections(data []byte) ([]Section, error) {
 		data = rest
 	}
 	return out, nil
+}
+
+// AppendIDSet appends a set of message IDs in ascending order, the
+// canonical snapshot encoding of a delivered or in-flight set.
+func AppendIDSet(buf []byte, set map[types.MessageID]bool) []byte {
+	ids := make([]types.MessageID, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	buf = wire.AppendUvarint(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = id.AppendTo(buf)
+	}
+	return buf
+}
+
+// RestoreIDSet adds the IDs AppendIDSet encoded to set and returns the
+// remainder.
+func RestoreIDSet(data []byte, set map[types.MessageID]bool) ([]byte, error) {
+	n, data, err := wire.SliceLen(data)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		var id types.MessageID
+		if id, data, err = types.DecodeMessageID(data); err != nil {
+			return nil, err
+		}
+		set[id] = true
+	}
+	return data, nil
 }

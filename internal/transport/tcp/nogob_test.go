@@ -13,6 +13,7 @@ import (
 	"wanamcast/internal/abcast"
 	"wanamcast/internal/amcast"
 	"wanamcast/internal/baseline"
+	"wanamcast/internal/catchup"
 	"wanamcast/internal/consensus"
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/svc"
@@ -55,22 +56,22 @@ func TestNoProtocolMessageFallsBackToGob(t *testing.T) {
 		{"rmcast.Message", msg},
 		{"amcast.TSMsg", amcast.TSMsg{Desc: desc}},
 		{"[]amcast.Descriptor (carries amcast.Descriptor)", descs},
-		{"amcast.SyncReq", amcast.SyncReq{From: 12}},
-		{"amcast.SyncResp", amcast.SyncResp{
-			Base:       2,
-			Deliveries: []amcast.DeliverRec{{ID: id, Dest: dest, TS: 9, Payload: "d"}},
-			Next:       3, Applied: 4, K: 5,
-			Pending: descs,
-			Props:   []amcast.PropEntry{{ID: id, Group: 2, TS: 9}},
+		{"catchup.Req", catchup.Req{From: 12}},
+		{"catchup.Resp (amcast)", catchup.Resp[amcast.DeliverRec, amcast.SyncTail]{
+			Base:    2,
+			Entries: []amcast.DeliverRec{{ID: id, Dest: dest, TS: 9, Payload: "d"}},
+			Next:    3,
+			Tail: &amcast.SyncTail{K: 5, Applied: 4, Pending: descs,
+				Props: []amcast.PropEntry{{ID: id, Group: 2, TS: 9}}},
 		}},
 		{"abcast.BundleMsg", abcast.BundleMsg{Round: 8, Set: recs}},
 		{"[]abcast.Record (carries abcast.Record)", recs},
-		{"abcast.SyncReq", abcast.SyncReq{From: 13}},
-		{"abcast.SyncResp", abcast.SyncResp{
-			Base:   1,
-			Rounds: []abcast.RoundSet{{Round: 1, Set: recs}},
-			Next:   2, Applied: 2, Barrier: 1,
-			Bundles: []abcast.GroupBundle{{Round: 2, Group: 1, Set: recs}},
+		{"catchup.Resp (abcast)", catchup.Resp[[]abcast.Record, abcast.SyncTail]{
+			Base:    1,
+			Entries: [][]abcast.Record{recs},
+			Next:    2, Busy: true,
+			Tail: &abcast.SyncTail{Barrier: 1,
+				Bundles: []abcast.GroupBundle{{Round: 2, Group: 1, Set: recs}}},
 		}},
 		{"baseline.SkeenData", baseline.SkeenData{M: msg}},
 		{"baseline.SkeenProp", baseline.SkeenProp{ID: id, TS: 11}},

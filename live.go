@@ -831,10 +831,7 @@ func (l *LiveCluster) Restart(p ProcessID) error {
 	delete(l.crashed, p)
 	l.mu.Unlock()
 	// Liveness: fetch everything missed while down from the group peers.
-	l.rt.Run(p, func() {
-		l.a1[p].StartSync()
-		l.a2[p].StartSync()
-	})
+	l.rt.Run(p, l.node(p).StartSync)
 	return nil
 }
 

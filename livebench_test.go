@@ -19,7 +19,7 @@ func liveThroughputRun(tb testing.TB) float64 {
 	l := NewLiveCluster(LiveConfig{
 		Groups:           2,
 		PerGroup:         3,
-		BasePort:         26000,
+		BasePort:         31900,
 		WANDelay:         2 * time.Millisecond,
 		MaxBatch:         64,
 		Pipeline:         4,

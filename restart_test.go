@@ -10,6 +10,10 @@ import (
 
 // restartCluster builds a started, checked, durable (in-memory stores)
 // cluster with fast timing for crash/restart tests.
+//
+// The root package's restart tests listen on 31000–31999, a block no
+// other package's tests use: `go test ./...` runs packages in parallel,
+// and the tcp package's tests own 21100–22099.
 func restartCluster(t *testing.T, basePort int) (*LiveCluster, []storage.Store) {
 	t.Helper()
 	stores := make([]storage.Store, 6)
@@ -41,7 +45,7 @@ func restartCluster(t *testing.T, basePort int) (*LiveCluster, []storage.Store) 
 // they are independent total orders, so one checked run must not mix
 // them.)
 func TestRestartRecoversAndCatchesUpA1(t *testing.T) {
-	cl, _ := restartCluster(t, 21000)
+	cl, _ := restartCluster(t, 31000)
 	g01 := []GroupID{0, 1}
 
 	for i := 0; i < 5; i++ {
@@ -91,7 +95,7 @@ func TestRestartRecoversAndCatchesUpA1(t *testing.T) {
 // round-based ordering: the restarted replica recovers its delivery round
 // from disk and adopts the completed rounds it missed from peers.
 func TestRestartRecoversAndCatchesUpA2(t *testing.T) {
-	cl, _ := restartCluster(t, 21200)
+	cl, _ := restartCluster(t, 31200)
 
 	for i := 0; i < 5; i++ {
 		cl.Broadcast(cl.Process(1, i%3), fmt.Sprintf("bpre-%d", i))
@@ -137,7 +141,7 @@ func TestRestartRecoversAndCatchesUpA2(t *testing.T) {
 // agree that nothing newer exists and resume — a politeness deadlock here
 // would gate the group's delivery forever.
 func TestFullGroupRestart(t *testing.T) {
-	cl, _ := restartCluster(t, 21800)
+	cl, _ := restartCluster(t, 31800)
 	g01 := []GroupID{0, 1}
 
 	for i := 0; i < 6; i++ {
@@ -175,7 +179,7 @@ func TestFullGroupRestart(t *testing.T) {
 // TestRestartRequiresDurableStore pins the error contract.
 func TestRestartRequiresDurableStore(t *testing.T) {
 	cl := NewLiveCluster(LiveConfig{
-		Groups: 1, PerGroup: 2, BasePort: 21100, WANDelay: time.Millisecond,
+		Groups: 1, PerGroup: 2, BasePort: 31100, WANDelay: time.Millisecond,
 	})
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
@@ -188,5 +192,98 @@ func TestRestartRequiresDurableStore(t *testing.T) {
 	cl.Crash(p)
 	if err := cl.Restart(p); err == nil {
 		t.Fatal("Restart without a durable store must fail")
+	}
+}
+
+// TestRestartCatchUpMultiChunkA1 pins the catch-up traffic of an A1
+// replica that missed ten chunks' worth of deliveries. Each answer that
+// applies a chunk asks for the next one; stale and duplicate answers from
+// the other group peer must not ask again, or every chunk would double
+// the requests (2 400 missed deliveries once cost ~2 570 A1 frames).
+func TestRestartCatchUpMultiChunkA1(t *testing.T) {
+	cl, _ := restartCluster(t, 31300)
+	victim := cl.Process(0, 1)
+	cl.Crash(victim)
+
+	const missed = 2400
+	ids := make([]MessageID, 0, missed)
+	for i := 0; i < missed; i++ {
+		ids = append(ids, cl.Multicast(cl.Process(0, 0), fmt.Sprintf("m-%d", i), 0))
+	}
+	for _, id := range ids {
+		if !cl.WaitDelivered(id, 2, 30*time.Second) {
+			t.Fatalf("live group members did not deliver %v", id)
+		}
+	}
+
+	// No casts from here on: every A1-label frame is catch-up traffic.
+	before := cl.Stats().PerProtocol["a1"].Total
+	if err := cl.Restart(victim); err != nil {
+		t.Fatalf("Restart(%v): %v", victim, err)
+	}
+	for _, id := range ids {
+		if !cl.WaitDelivered(id, 3, 30*time.Second) {
+			t.Fatalf("restarted %v never caught up on %v", victim, id)
+		}
+	}
+	time.Sleep(300 * time.Millisecond) // answers still in flight
+	frames := cl.Stats().PerProtocol["a1"].Total - before
+	t.Logf("catching up %d deliveries took %d A1 frames", missed, frames)
+	if frames > 100 {
+		t.Fatalf("catching up %d deliveries took %d A1 frames, want <= 100", missed, frames)
+	}
+	if v := cl.WaitPropertiesClean(30 * time.Second); len(v) != 0 {
+		t.Fatalf("post-restart violations: %v", v)
+	}
+}
+
+// TestRestartCatchUpMultiChunkA2 is the A2 counterpart: the replica misses
+// more than two chunks (128 rounds each) of completed rounds, adopts them
+// all from its peers, and then completes fresh rounds with the group. The
+// last step pins the engine horizon: a peer may have decided rounds that
+// still wait for remote bundles, and a requester that skipped those
+// instances stayed stuck at that round for good.
+func TestRestartCatchUpMultiChunkA2(t *testing.T) {
+	cl, _ := restartCluster(t, 31500)
+	round := func(p ProcessID) (k uint64) {
+		cl.rt.Run(p, func() { k = cl.a2[p].Round() })
+		return k
+	}
+	victim := cl.Process(0, 1)
+	from := round(victim)
+	cl.Crash(victim)
+
+	var ids []MessageID
+	deadline := time.Now().Add(60 * time.Second)
+	for round(cl.Process(0, 0)) < from+2*128+10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("group completed only %d rounds past %d", round(cl.Process(0, 0))-from, from)
+		}
+		for i := 0; i < 4; i++ {
+			ids = append(ids, cl.Broadcast(cl.Process(GroupID(i%2), 2), fmt.Sprintf("b-%d", len(ids))))
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, id := range ids {
+		if !cl.WaitDelivered(id, 5, 30*time.Second) {
+			t.Fatalf("live processes did not deliver %v", id)
+		}
+	}
+	t.Logf("%v missed rounds %d..%d", victim, from, round(cl.Process(0, 0)))
+
+	if err := cl.Restart(victim); err != nil {
+		t.Fatalf("Restart(%v): %v", victim, err)
+	}
+	for _, id := range ids {
+		if !cl.WaitDelivered(id, 6, 30*time.Second) {
+			t.Fatalf("restarted %v never caught up on %v", victim, id)
+		}
+	}
+	post := cl.Broadcast(cl.Process(1, 0), "post")
+	if !cl.WaitDelivered(post, 6, 10*time.Second) {
+		t.Fatalf("post-restart broadcast not fully delivered")
+	}
+	if v := cl.WaitPropertiesClean(30 * time.Second); len(v) != 0 {
+		t.Fatalf("post-restart violations: %v", v)
 	}
 }

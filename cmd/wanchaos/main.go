@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"wanamcast"
+	"wanamcast/cmd/internal/liveflag"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/metrics"
@@ -52,17 +53,15 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
+	lf := liveflag.Register(flag.CommandLine, wanamcast.LiveConfig{
+		Groups: 2, PerGroup: 3, BasePort: 27000, MaxBatch: 64, Pipeline: 2,
+	})
 	var (
 		mode     = flag.String("mode", "live", "live (real TCP + KV service under load) or sim (deterministic virtual time)")
 		scn      = flag.String("scenario", "suite", "scenario name (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery, lease-partition) or \"suite\" for all")
-		groups   = flag.Int("groups", 2, "number of groups/shards")
-		d        = flag.Int("d", 3, "processes per group")
-		basePort = flag.Int("port", 27000, "cluster base port (live)")
 		svcPort  = flag.Int("svcport", 28000, "client-facing base port (live)")
 		wan      = flag.Duration("wan", 5*time.Millisecond, "one-way inter-group delay")
 		lan      = flag.Duration("lan", 0, "intra-group delay")
-		maxBatch = flag.Int("maxbatch", 64, "max messages per consensus instance")
-		pipeline = flag.Int("pipeline", 2, "consensus instances in flight")
 		clients  = flag.Int("clients", 100, "closed-loop KV clients (live)")
 		ops      = flag.Int("ops", 4, "operations per client (live)")
 		timeout  = flag.Duration("timeout", 250*time.Millisecond, "client first-attempt reply timeout (doubles per retry)")
@@ -73,57 +72,39 @@ func run() int {
 		suspAft  = flag.Duration("suspectafter", 250*time.Millisecond, "failure detector suspicion timeout (live)")
 		hbEvery  = flag.Duration("heartbeat", 50*time.Millisecond, "failure detector heartbeat period (live)")
 		measure  = flag.Bool("measure", false, "measure re-election/trust-restore/resume latencies instead of running a scenario")
-		lanes    = flag.Int("lanes", 0, "shard processes across this many ordering lane goroutines by group (0 = one per process)")
-		inbox    = flag.Int("inbox", 0, "per-lane inbox ring size, live mode (0 = default 4096)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC, live objects) to this file")
-		mtxProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 		verbose  = flag.Bool("v", false, "log every scenario event and delivery progress")
-		telem    = flag.String("telemetry", "", "live mode: serve the introspection plane (/metrics, /spans, /healthz) on this host:port; enables lifecycle tracing")
-		spanBuf  = flag.Int("spanbuf", 0, "per-lane lifecycle span ring size (0 = default 4096; >0 enables tracing)")
-		flightD  = flag.String("flightdump", "", "dump recent spans as JSONL here on a property violation, failed state transfer, or restart; enables tracing")
 	)
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
 		harness.Usagef("wanchaos", format, args...)
 	}
+	cfg := lf.Live()
+	cfg.WANDelay, cfg.LANDelay = *wan, *lan
+	cfg.HeartbeatEvery, cfg.SuspectAfter = *hbEvery, *suspAft
+	if err := lf.Validate(cfg); err != nil {
+		fail("%v", err)
+	}
+	groups, d := cfg.Groups, cfg.PerGroup
 	if *mode != "live" && *mode != "sim" {
 		fail("-mode must be live or sim (got %q)", *mode)
 	}
-	if *groups < 2 {
-		fail("-groups must be at least 2 (nothing to partition with %d)", *groups)
+	if groups < 2 {
+		fail("-groups must be at least 2 (nothing to partition with %d)", groups)
 	}
-	if *d < 3 {
+	if d < 3 {
 		fail("-d must be at least 3 (crash recovery needs a surviving majority per group)")
-	}
-	if *wan < 0 || *lan < 0 {
-		fail("-wan and -lan must be non-negative")
-	}
-	if *maxBatch < 0 || *pipeline < 1 {
-		fail("-maxbatch must be non-negative and -pipeline at least 1")
 	}
 	if *clients < 1 || *ops < 1 {
 		fail("-clients and -ops must be at least 1")
 	}
-	if *timeout <= 0 || *unit <= 0 || *spike < 0 {
-		fail("-timeout and -unit must be positive, -spike non-negative")
+	if *timeout <= 0 || *unit <= 0 || *spike < 0 || *hbEvery <= 0 || *suspAft <= 0 {
+		fail("-timeout, -unit, -heartbeat and -suspectafter must be positive, -spike non-negative")
 	}
-	if *suspAft <= 0 || *hbEvery <= 0 || *hbEvery >= *suspAft {
-		fail("need 0 < -heartbeat < -suspectafter (got %v, %v)", *hbEvery, *suspAft)
-	}
-	if *lanes < 0 || *inbox < 0 {
-		fail("-lanes and -inbox must be non-negative")
-	}
-	// The telemetry flags share the harness validation with every command.
-	tOpts := harness.Options{TelemetryAddr: *telem, SpanBuf: *spanBuf, FlightDump: *flightD}
-	if err := tOpts.Validate(); err != nil {
-		fail("%v", err)
-	}
-	if tOpts.TraceLifecycle() && *mode != "live" {
+	if lf.Tracing() && *mode != "live" {
 		fail("-telemetry, -spanbuf, and -flightdump need live mode")
 	}
-	n := *groups * *d
+	n := groups * d
 	// Each live scenario gets a disjoint port block so a fresh cluster
 	// never binds a port the previous one just released: the stride must
 	// cover the cluster itself, not just a fixed 64.
@@ -132,7 +113,7 @@ func run() int {
 		stride = n
 	}
 	if *mode == "live" {
-		if err := harness.ValidatePortRange(*basePort, stride*len(scenario.Names())); err != nil {
+		if err := harness.ValidatePortRange(cfg.BasePort, stride*len(scenario.Names())); err != nil {
 			fail("-port: %v", err)
 		}
 		if err := harness.ValidatePortRange(*svcPort, stride*len(scenario.Names())); err != nil {
@@ -150,7 +131,7 @@ func run() int {
 			*spike = s
 		}
 	}
-	topo := types.NewTopology(*groups, *d)
+	topo := types.NewTopology(groups, d)
 	suiteCfg := scenario.SuiteConfig{Unit: *unit, Spike: *spike}
 	var scenarios []scenario.Scenario
 	if *scn == "suite" {
@@ -163,7 +144,7 @@ func run() int {
 		scenarios = []scenario.Scenario{sc}
 	}
 
-	stopProf, err := harness.StartProfiles(*cpuProf, *memProf, *mtxProf)
+	stopProf, err := harness.StartProfiles(lf.CPUProfile, lf.MemProfile, lf.MutexProfile)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -174,7 +155,7 @@ func run() int {
 	}()
 
 	if *measure {
-		return measureLatencies(*groups, *d, *basePort, *wan, *lan, *hbEvery, *suspAft, *verbose)
+		return measureLatencies(cfg, *verbose)
 	}
 
 	failures := 0
@@ -185,13 +166,14 @@ func run() int {
 		}
 		var ok bool
 		if *mode == "sim" {
-			ok = runSim(algo, sc, *groups, *d, *wan, *lan, *maxBatch, *pipeline, *lanes, *seed, *verbose)
+			ok = runSim(algo, sc, cfg, *seed, *verbose)
 		} else {
 			// Fresh ports per scenario: listeners of the previous cluster
 			// are closed, but lingering TIME_WAIT sockets must not flake
 			// the next bind.
-			ok = runLive(sc, *groups, *d, *basePort+i*stride, *svcPort+i*stride, *wan, *lan,
-				*hbEvery, *suspAft, *maxBatch, *pipeline, *lanes, *inbox, *clients, *ops, *timeout, *seed, *verbose, tOpts)
+			scCfg := cfg
+			scCfg.BasePort += i * stride
+			ok = runLive(sc, scCfg, *svcPort+i*stride, lf.Telemetry, *clients, *ops, *timeout, *seed, *verbose)
 		}
 		if ok {
 			fmt.Printf("=== %s: OK ===\n\n", sc.Name)
@@ -211,9 +193,8 @@ func run() int {
 // runLive runs one scenario against a real TCP cluster serving the KV
 // service under closed-loop client load. Replicas persist to in-memory
 // stores so crash/restart scenarios work without disk.
-func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
-	hbEvery, suspAft time.Duration, maxBatch, pipeline, lanes, inbox, clients, ops int,
-	timeout time.Duration, seed int64, verbose bool, tOpts harness.Options) bool {
+func runLive(sc scenario.Scenario, cfg wanamcast.LiveConfig, svcPort int, telemetry string,
+	clients, ops int, timeout time.Duration, seed int64, verbose bool) bool {
 
 	// Scenarios that isolate a process exercise the lease hand-off: enable
 	// leader leases and serve part of the load as lease-consistent reads so
@@ -224,26 +205,11 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 			leasing = true
 		}
 	}
-	cfg := wanamcast.LiveConfig{
-		Groups:         groups,
-		PerGroup:       d,
-		BasePort:       basePort,
-		WANDelay:       wan,
-		LANDelay:       lan,
-		HeartbeatEvery: hbEvery,
-		SuspectAfter:   suspAft,
-		MaxBatch:       maxBatch,
-		Pipeline:       pipeline,
-		Lanes:          lanes,
-		InboxSize:      inbox,
-		Check:          true,
-		TraceSpans:     tOpts.TraceLifecycle(),
-		SpanBuf:        tOpts.SpanBuf,
-		FlightDump:     tOpts.FlightDump,
-	}
 	if leasing {
-		cfg.LeaseDuration = suspAft
+		cfg.LeaseDuration = cfg.SuspectAfter
 	}
+	cfg.Check = true
+	groups, d, suspAft := cfg.Groups, cfg.PerGroup, cfg.SuspectAfter
 	stores := make([]storage.Store, groups*d)
 	for i := range stores {
 		stores[i] = storage.NewMem()
@@ -277,8 +243,8 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 	}
 	defer service.Stop()
 
-	if tOpts.TelemetryAddr != "" {
-		tsrv, err := harness.ServeTelemetry(tOpts.TelemetryAddr, cluster.TelemetrySource("wanchaos", stats))
+	if telemetry != "" {
+		tsrv, err := harness.ServeTelemetry(telemetry, cluster.TelemetrySource("wanchaos", stats))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wanchaos:", err)
 			return false
@@ -399,14 +365,13 @@ func runLive(sc scenario.Scenario, groups, d, basePort, svcPort int, wan, lan,
 }
 
 // runSim replays one scenario deterministically on the simulated runtime
-// under a Poisson workload.
-func runSim(algo harness.Algo, sc scenario.Scenario, groups, d int, wan, lan time.Duration,
-	maxBatch, pipeline, lanes int, seed int64, verbose bool) bool {
-
+// under a Poisson workload, shaped by cfg's topology, delays and ordering
+// settings.
+func runSim(algo harness.Algo, sc scenario.Scenario, cfg wanamcast.LiveConfig, seed int64, verbose bool) bool {
 	s := harness.Build(algo, harness.Options{
-		Groups: groups, PerGroup: d, Inter: wan, Intra: lan, Seed: seed,
-		MaxBatch: maxBatch, A1Pipeline: pipeline, A2Pipeline: pipeline,
-		Lanes: lanes,
+		Groups: cfg.Groups, PerGroup: cfg.PerGroup, Inter: cfg.WANDelay, Intra: cfg.LANDelay, Seed: seed,
+		MaxBatch: cfg.MaxBatch, A1Pipeline: cfg.Pipeline, A2Pipeline: cfg.Pipeline,
+		Lanes: cfg.Lanes,
 	})
 	funcs := s.Chaos()
 	if verbose {
@@ -479,18 +444,9 @@ func runSim(algo harness.Algo, sc scenario.Scenario, groups, d int, wan, lan tim
 // long after the heal trust (and leadership) is restored, and how long
 // after healing a full inter-group partition a stalled broadcast resumes
 // and completes delivery.
-func measureLatencies(groups, d, basePort int, wan, lan, hbEvery, suspAft time.Duration, verbose bool) int {
-	cluster := wanamcast.NewLiveCluster(wanamcast.LiveConfig{
-		Groups:         groups,
-		PerGroup:       d,
-		BasePort:       basePort,
-		WANDelay:       wan,
-		LANDelay:       lan,
-		HeartbeatEvery: hbEvery,
-		SuspectAfter:   suspAft,
-		MaxBatch:       64,
-		Pipeline:       2,
-	})
+func measureLatencies(cfg wanamcast.LiveConfig, verbose bool) int {
+	groups, d, hbEvery := cfg.Groups, cfg.PerGroup, cfg.HeartbeatEvery
+	cluster := wanamcast.NewLiveCluster(cfg)
 	leader := cluster.Process(0, 0)
 	watcher := cluster.Process(0, 1)
 	changes := make(chan wanamcast.ProcessID, 16)
@@ -557,7 +513,7 @@ func measureLatencies(groups, d, basePort int, wan, lan, hbEvery, suspAft time.D
 	}
 
 	fmt.Printf("suspectafter=%v heartbeat=%v wan=%v: reelect=%v trust-restore=%v resume-delivery=%v\n",
-		suspAft, hbEvery, wan,
+		cfg.SuspectAfter, hbEvery, cfg.WANDelay,
 		reelect.Round(time.Millisecond), restore.Round(time.Millisecond), resume.Round(time.Millisecond))
 	return 0
 }

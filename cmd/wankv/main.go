@@ -30,10 +30,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"wanamcast"
+	"wanamcast/cmd/internal/liveflag"
 	"wanamcast/internal/fd"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/metrics"
@@ -49,15 +49,13 @@ func main() { os.Exit(run()) }
 // run holds the real main so deferred shutdowns survive the explicit exit
 // code.
 func run() int {
+	lf := liveflag.Register(flag.CommandLine, wanamcast.LiveConfig{
+		Groups: 3, PerGroup: 3, BasePort: 19000, MaxBatch: 64, Pipeline: 4,
+	})
 	var (
-		groups   = flag.Int("groups", 3, "number of shards (groups)")
-		d        = flag.Int("d", 3, "replicas per shard")
-		basePort = flag.Int("port", 19000, "cluster base port (process p listens on port+p)")
 		svcPort  = flag.Int("svcport", 20000, "client-facing base port (replica p serves on svcport+p)")
 		wan      = flag.Duration("wan", 100*time.Millisecond, "injected one-way inter-shard delay")
 		lan      = flag.Duration("lan", 0, "injected intra-shard delay (0 = raw loopback)")
-		maxBatch = flag.Int("maxbatch", 64, "max messages per consensus instance (0 = unbounded)")
-		pipeline = flag.Int("pipeline", 4, "consensus instances in flight")
 		clients  = flag.Int("clients", 0, "closed-loop client sessions; 0 = serve until interrupted")
 		ops      = flag.Int("ops", 5, "operations per client (load mode)")
 		timeout  = flag.Duration("timeout", time.Second, "client first-attempt reply timeout (doubles per retry)")
@@ -74,36 +72,34 @@ func run() int {
 		scnUnit  = flag.Duration("unit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 		bandw    = flag.String("bandwidth", "", "per-link bandwidth cap, e.g. 50mbit, 6.25MB, 1gbit (empty = uncapped; heartbeats are exempt)")
 		compMin  = flag.Int("compressmin", 0, "compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
-		lanes    = flag.Int("lanes", 0, "shard replicas across this many ordering lane goroutines by group (0 = one per replica)")
-		inbox    = flag.Int("inbox", 0, "per-lane inbox ring size (0 = default 4096)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (post-GC, live objects) to this file")
-		mtxProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 		benchOut = flag.String("benchjson", "", "load mode: append a machine-readable result record to this JSON file")
-		telem    = flag.String("telemetry", "", "serve the introspection plane (/metrics, /spans, /healthz) on this host:port; enables lifecycle tracing")
-		spanBuf  = flag.Int("spanbuf", 0, "per-lane lifecycle span ring size (0 = default 4096; >0 enables tracing)")
-		flightD  = flag.String("flightdump", "", "dump recent spans as JSONL here on a property violation, failed state transfer, or restart; enables tracing")
 	)
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
 		harness.Usagef("wankv", format, args...)
 	}
-	if *groups < 1 || *d < 1 {
-		fail("-groups and -d must be at least 1 (got %d x %d)", *groups, *d)
+	bw, err := harness.ParseBandwidth(*bandw)
+	if err != nil {
+		fail("%v", err)
 	}
-	n := *groups * *d
-	if err := harness.ValidatePortRange(*basePort, n); err != nil {
+	cfg := lf.Live()
+	cfg.WANDelay, cfg.LANDelay = *wan, *lan
+	cfg.Check = *checkRun
+	cfg.DataDir, cfg.NoFsync, cfg.SnapshotEvery = *dataDir, *noFsync, *snapEvry
+	cfg.LeaseDuration = time.Duration(*leaseMS) * time.Millisecond
+	cfg.MaxClockSkew = time.Duration(*skewMS) * time.Millisecond
+	cfg.Bandwidth, cfg.CompressMin = bw, *compMin
+	if err := lf.Validate(cfg); err != nil {
+		fail("%v", err)
+	}
+	groups, d := cfg.Groups, cfg.PerGroup
+	n := groups * d
+	if err := harness.ValidatePortRange(cfg.BasePort, n); err != nil {
 		fail("-port: %v", err)
 	}
 	if err := harness.ValidatePortRange(*svcPort, n); err != nil {
 		fail("-svcport: %v", err)
-	}
-	if *wan < 0 || *lan < 0 {
-		fail("-wan and -lan must be non-negative")
-	}
-	if *maxBatch < 0 || *pipeline < 1 {
-		fail("-maxbatch must be non-negative and -pipeline at least 1")
 	}
 	if *clients < 0 || (*clients > 0 && *ops < 1) {
 		fail("-clients must be non-negative and -ops at least 1 in load mode")
@@ -111,33 +107,15 @@ func run() int {
 	if *timeout <= 0 {
 		fail("-timeout must be positive")
 	}
-	if (*noFsync || *snapEvry != 0) && *dataDir == "" {
-		fail("-nofsync and -snapevery need -datadir")
-	}
-	if *lanes < 0 || *inbox < 0 {
-		fail("-lanes and -inbox must be non-negative")
-	}
-	if *leaseMS < 0 || *skewMS < 0 {
-		fail("-leasems and -skewms must be non-negative")
-	}
-	// The read-tier flags share the harness validation with every command.
-	readOpts := harness.Options{
-		ReadFraction:  *reads,
-		Consistency:   *consist,
-		LeaseDuration: time.Duration(*leaseMS) * time.Millisecond,
-		MaxClockSkew:  time.Duration(*skewMS) * time.Millisecond,
-		TelemetryAddr: *telem,
-		SpanBuf:       *spanBuf,
-		FlightDump:    *flightD,
-		Bandwidth:     *bandw,
-		CompressMin:   *compMin,
-	}
-	if err := readOpts.Validate(); err != nil {
-		fail("%v", err)
+	if *reads < 0 || *reads > 1 {
+		fail("-reads must be within [0,1] (got %v)", *reads)
 	}
 	mode, err := svc.ParseConsistency(*consist)
 	if err != nil {
 		fail("-consistency: %v", err)
+	}
+	if mode == svc.ConsistencyLease && cfg.LeaseDuration == 0 {
+		fail("-consistency lease needs leader leases enabled (set -leasems)")
 	}
 	if *benchOut != "" && *clients < 1 {
 		fail("-benchjson records load-mode runs only (-clients >= 1)")
@@ -146,7 +124,7 @@ func run() int {
 		if *clients < 1 {
 			fail("-scenario needs load mode (-clients >= 1)")
 		}
-		if *groups < 2 {
+		if groups < 2 {
 			fail("-scenario needs at least 2 shards to partition")
 		}
 		if *scnUnit <= 0 {
@@ -154,7 +132,7 @@ func run() int {
 		}
 	}
 
-	stopProf, err := harness.StartProfiles(*cpuProf, *memProf, *mtxProf)
+	stopProf, err := harness.StartProfiles(lf.CPUProfile, lf.MemProfile, lf.MutexProfile)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -164,33 +142,11 @@ func run() int {
 		}
 	}()
 
-	cfg := wanamcast.LiveConfig{
-		Groups:        *groups,
-		PerGroup:      *d,
-		BasePort:      *basePort,
-		WANDelay:      *wan,
-		LANDelay:      *lan,
-		MaxBatch:      *maxBatch,
-		Pipeline:      *pipeline,
-		Lanes:         *lanes,
-		InboxSize:     *inbox,
-		Check:         *checkRun,
-		DataDir:       *dataDir,
-		NoFsync:       *noFsync,
-		SnapshotEvery: *snapEvry,
-		LeaseDuration: readOpts.LeaseDuration,
-		MaxClockSkew:  readOpts.MaxClockSkew,
-		TraceSpans:    readOpts.TraceLifecycle(),
-		SpanBuf:       *spanBuf,
-		FlightDump:    *flightD,
-		Bandwidth:     readOpts.BandwidthBytes(),
-		CompressMin:   *compMin,
-	}
 	if *scn != "" && *dataDir == "" {
 		// Crash/restart scenarios need a durable store per replica; without
 		// a data dir, in-memory stores keep the run volatile but
 		// restartable.
-		stores := make([]storage.Store, *groups**d)
+		stores := make([]storage.Store, n)
 		for i := range stores {
 			stores[i] = storage.NewMem()
 		}
@@ -204,7 +160,7 @@ func run() int {
 	defer cluster.Stop()
 
 	topo := cluster.Topology()
-	route := svc.PrefixRoute(*groups)
+	route := svc.PrefixRoute(groups)
 	stats := &metrics.Service{}
 	svcCfg := svc.ServiceConfig{
 		BasePort: *svcPort,
@@ -214,7 +170,7 @@ func run() int {
 		Stats:  stats,
 		Tracer: cluster.Tracer(),
 	}
-	if readOpts.LeaseDuration > 0 {
+	if cfg.LeaseDuration > 0 {
 		svcCfg.LeaseFor = func(p types.ProcessID) *fd.Lease { return cluster.ReadLease(p) }
 	}
 	service, err := svc.ServeCluster(cluster, topo, svcCfg)
@@ -225,11 +181,11 @@ func run() int {
 	defer service.Stop()
 
 	laneDesc := "one per replica"
-	if *lanes > 0 {
-		laneDesc = fmt.Sprintf("%d", *lanes)
+	if cfg.Lanes > 0 {
+		laneDesc = fmt.Sprintf("%d", cfg.Lanes)
 	}
 	fmt.Printf("wankv: %d shards x %d replicas, wan=%v lan=%v maxbatch=%d pipeline=%d lanes=%s\n",
-		*groups, *d, *wan, *lan, *maxBatch, *pipeline, laneDesc)
+		groups, d, *wan, *lan, cfg.MaxBatch, cfg.Pipeline, laneDesc)
 	if *bandw != "" {
 		fmt.Printf("  bandwidth: %s per link (heartbeats exempt)\n", *bandw)
 	}
@@ -240,11 +196,11 @@ func run() int {
 		}
 		fmt.Printf("  durability: %s (%s)\n", *dataDir, mode)
 	}
-	for g := 0; g < *groups; g++ {
+	for g := 0; g < groups; g++ {
 		fmt.Printf("  shard g%d: %v\n", g, service.Addrs()[types.GroupID(g)])
 	}
-	if *telem != "" {
-		tsrv, err := harness.ServeTelemetry(*telem, cluster.TelemetrySource("wankv", stats))
+	if lf.Telemetry != "" {
+		tsrv, err := harness.ServeTelemetry(lf.Telemetry, cluster.TelemetrySource("wankv", stats))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wankv:", err)
 			return 1
@@ -320,9 +276,8 @@ func run() int {
 		fs := cluster.FsyncStats()
 		r := harness.BenchResult{
 			Name:           "wankv-load",
-			Topology:       fmt.Sprintf("%dx%d", *groups, *d),
-			Lanes:          *lanes,
-			Cores:          runtime.NumCPU(),
+			Topology:       fmt.Sprintf("%dx%d", groups, d),
+			Lanes:          cfg.Lanes,
 			Casts:          res.Ops,
 			OrderedPerSec:  float64(res.Ops) / res.Elapsed.Seconds(),
 			P50Ms:          float64(st.P50Wall) / float64(time.Millisecond),

@@ -52,8 +52,6 @@ func main() {
 		d        = flag.Int("d", 2, "processes per group")
 		basePort = flag.Int("port", 19000, "base port (process p listens on port+p)")
 		wan      = flag.Duration("wan", 100*time.Millisecond, "injected one-way inter-group delay")
-		sendq    = flag.Int("sendqueue", 0, "per-connection send queue depth (0 = default 4096)")
-		flush    = flag.Duration("flush", 0, "max frame-coalescing latency before a flush (0 = default 200µs)")
 		trace    = flag.Bool("trace", false, "print transport trace lines to stderr")
 		dataDir  = flag.String("datadir", "", "persist WAL+snapshots under this directory and recover from it at startup (empty = volatile)")
 		noFsync  = flag.Bool("nofsync", false, "with -datadir: write the WAL without fsync barriers (benchmark knob; OS-process crashes may lose the tail)")
@@ -75,12 +73,6 @@ func main() {
 	if *wan < 0 {
 		fail("-wan must be non-negative (got %v)", *wan)
 	}
-	if *sendq < 0 {
-		fail("-sendqueue must be non-negative (got %d)", *sendq)
-	}
-	if *flush < 0 {
-		fail("-flush must be non-negative (got %v)", *flush)
-	}
 	if (*noFsync || *snapEvry != 0) && *dataDir == "" {
 		fail("-nofsync and -snapevery need -datadir")
 	}
@@ -97,13 +89,11 @@ func main() {
 		}
 	}
 	rt := tcp.New(tcp.Config{
-		Topo:       topo,
-		Local:      []types.ProcessID{self},
-		BasePort:   *basePort,
-		WANDelay:   *wan,
-		SendQueue:  *sendq,
-		FlushEvery: *flush,
-		Trace:      tracer,
+		Topo:     topo,
+		Local:    []types.ProcessID{self},
+		BasePort: *basePort,
+		WANDelay: *wan,
+		Trace:    tracer,
 	})
 
 	var store storage.Store

@@ -4,45 +4,31 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"wanamcast"
 	"wanamcast/internal/harness"
-	"wanamcast/internal/transport/tcp"
 	"wanamcast/internal/types"
 )
 
+// liveRun is the workload and reporting half of a -live run; the cluster
+// half is the validated wanamcast.LiveConfig.
+type liveRun struct {
+	telemetry, bandwidth, benchOut string
+	casts                          int
+	rate                           float64
+	spread                         int
+	seed                           int64
+	verbose                        bool
+}
+
 // runLive drives the wansim workload over a real TCP cluster on localhost
 // (algorithms a1 and a2 only) instead of the simulator, and prints wall
-// throughput. The transport knobs ride in on harness.Options: SendQueue and
-// FlushEvery map straight onto the live transport's queue depth and flush
-// coalescing window.
-func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate float64, spread int, seed int64, verbose bool) {
+// throughput.
+func runLive(algo harness.Algo, cfg wanamcast.LiveConfig, run liveRun) {
 	if algo != harness.AlgoA1 && algo != harness.AlgoA2 {
 		fmt.Fprintf(os.Stderr, "wansim: -live supports a1 and a2 only (got %s)\n", algo)
 		os.Exit(1)
-	}
-	cfg := wanamcast.LiveConfig{
-		Groups:      opts.Groups,
-		PerGroup:    opts.PerGroup,
-		BasePort:    basePort,
-		WANDelay:    opts.Inter,
-		LANDelay:    opts.Intra,
-		MaxBatch:    opts.MaxBatch,
-		Pipeline:    opts.A1Pipeline,
-		Lanes:       opts.Lanes,
-		InboxSize:   opts.InboxSize,
-		SendQueue:   opts.SendQueue,
-		FlushEvery:  opts.FlushEvery,
-		Bandwidth:   opts.BandwidthBytes(),
-		CompressMin: opts.CompressMin,
-		TraceSpans:  opts.TraceLifecycle(),
-		SpanBuf:     opts.SpanBuf,
-		FlightDump:  opts.FlightDump,
-	}
-	if algo == harness.AlgoA2 {
-		cfg.Pipeline = opts.A2Pipeline
 	}
 	l := wanamcast.NewLiveCluster(cfg)
 	if err := l.Start(); err != nil {
@@ -51,8 +37,8 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 	}
 	defer l.Stop()
 
-	if opts.TelemetryAddr != "" {
-		tsrv, err := harness.ServeTelemetry(opts.TelemetryAddr, l.TelemetrySource("wansim", nil))
+	if run.telemetry != "" {
+		tsrv, err := harness.ServeTelemetry(run.telemetry, l.TelemetrySource("wansim", nil))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wansim:", err)
 			os.Exit(1)
@@ -61,26 +47,20 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		fmt.Printf("telemetry: http://%s/metrics\n", tsrv.Addr())
 	}
 
-	sendq, flush := opts.SendQueue, opts.FlushEvery
-	if sendq <= 0 {
-		sendq = tcp.DefaultSendQueue
-	}
-	if flush <= 0 {
-		flush = tcp.DefaultFlushEvery
-	}
-	n := opts.Groups * opts.PerGroup
-	laneDesc := fmt.Sprintf("%d", opts.Lanes)
-	if opts.Lanes == 0 {
+	n := cfg.Groups * cfg.PerGroup
+	laneDesc := fmt.Sprintf("%d", cfg.Lanes)
+	if cfg.Lanes == 0 {
 		laneDesc = "per-process"
 	}
-	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v lanes=%s sendqueue=%d flush=%v\n",
-		algo, opts.Groups, opts.PerGroup, opts.Inter, opts.Intra, laneDesc, sendq, flush)
-	if opts.Bandwidth != "" {
-		fmt.Printf("bandwidth      %s per link (heartbeats exempt)\n", opts.Bandwidth)
+	fmt.Printf("live %s: %d groups x %d processes over TCP, wan=%v lan=%v lanes=%s\n",
+		algo, cfg.Groups, cfg.PerGroup, cfg.WANDelay, cfg.LANDelay, laneDesc)
+	if run.bandwidth != "" {
+		fmt.Printf("bandwidth      %s per link (heartbeats exempt)\n", run.bandwidth)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	period := time.Duration(float64(time.Second) / rate)
+	casts, spread := run.casts, run.spread
+	rng := rand.New(rand.NewSource(run.seed))
+	period := time.Duration(float64(time.Second) / run.rate)
 	begin := time.Now()
 	ids := make([]wanamcast.MessageID, 0, casts)
 	expected := 0
@@ -90,9 +70,9 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 			ids = append(ids, l.Broadcast(from, fmt.Sprintf("msg-%d", i)))
 			expected += n
 		} else {
-			dest := pickDest(rng, opts.Groups, spread)
+			dest := pickDest(rng, cfg.Groups, spread)
 			ids = append(ids, l.Multicast(from, fmt.Sprintf("msg-%d", i), dest...))
-			expected += spread * opts.PerGroup
+			expected += spread * cfg.PerGroup
 		}
 		if period > 0 {
 			time.Sleep(period)
@@ -118,7 +98,7 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		time.Sleep(5 * time.Millisecond)
 	}
 	elapsed := time.Since(begin)
-	if verbose {
+	if run.verbose {
 		for _, d := range l.Deliveries() {
 			fmt.Printf("deliver %v at %v t=%v\n", d.ID, d.Process, d.At)
 		}
@@ -135,14 +115,13 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 		}
 		fmt.Println()
 	}
-	if opts.BenchJSON != "" {
+	if run.benchOut != "" {
 		st := l.Stats()
 		fs := l.FsyncStats()
 		r := harness.BenchResult{
 			Name:           "wansim-live-" + string(algo),
-			Topology:       fmt.Sprintf("%dx%d", opts.Groups, opts.PerGroup),
-			Lanes:          opts.Lanes,
-			Cores:          runtime.NumCPU(),
+			Topology:       fmt.Sprintf("%dx%d", cfg.Groups, cfg.PerGroup),
+			Lanes:          cfg.Lanes,
 			Casts:          casts,
 			OrderedPerSec:  float64(casts) / elapsed.Seconds(),
 			P50Ms:          float64(st.P50Wall) / float64(time.Millisecond),
@@ -157,14 +136,14 @@ func runLive(algo harness.Algo, opts harness.Options, basePort, casts int, rate 
 			r.FsyncsPerBatch = float64(r.Fsyncs) / float64(r.BatchesDecided)
 		}
 		r.WanHops = harness.WanHopHist(st.DegreeHist)
-		r.SetWire(st.Wire, opts.Bandwidth)
+		r.SetWire(st.Wire, run.bandwidth)
 		if tr := l.Tracer(); tr != nil {
 			r.Stages = harness.StageBreakdown(tr.Stats().Snapshot())
 		}
-		if err := harness.AppendBenchJSON(opts.BenchJSON, r); err != nil {
+		if err := harness.AppendBenchJSON(run.benchOut, r); err != nil {
 			fmt.Fprintln(os.Stderr, "wansim: benchjson:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson      appended to %s\n", opts.BenchJSON)
+		fmt.Printf("benchjson      appended to %s\n", run.benchOut)
 	}
 }

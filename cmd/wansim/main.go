@@ -18,17 +18,19 @@ import (
 	"os"
 	"time"
 
+	"wanamcast"
+	"wanamcast/cmd/internal/liveflag"
 	"wanamcast/internal/harness"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
 )
 
 func main() {
+	lf := liveflag.Register(flag.CommandLine, wanamcast.LiveConfig{
+		Groups: 3, PerGroup: 3, BasePort: 22000, Pipeline: 1,
+	})
 	var (
 		algoName  = flag.String("algo", "a1", "algorithm: a1, a2, skeen, fritzke, delporte, rodrigues, detmerge, sousa, vicente")
-		groups    = flag.Int("groups", 3, "number of groups")
-		d         = flag.Int("d", 3, "processes per group")
-		procs     = flag.Int("procs", 0, "processes per group (alias of -d; 0 defers to -d)")
 		sweepSpec = flag.String("sweep", "", "run a scale sweep over these topology shapes instead of one run, e.g. 50x3,100x3,200x5 (sim only)")
 		inter     = flag.Duration("inter", 100*time.Millisecond, "inter-group one-way delay")
 		intra     = flag.Duration("intra", time.Millisecond, "intra-group one-way delay")
@@ -38,23 +40,10 @@ func main() {
 		spread    = flag.Int("spread", 2, "destination groups per multicast (ignored by broadcasts)")
 		crash     = flag.Int("crash", 0, "crash this many processes (one per group, minority) mid-run")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		maxBatch  = flag.Int("maxbatch", 0, "max messages per consensus instance (0 = unbounded, the paper's rule)")
-		pipeline  = flag.Int("pipeline", 1, "consensus instances/rounds in flight (1 = the paper's sequential engine)")
 		live      = flag.Bool("live", false, "run over real TCP sockets on localhost instead of the simulator (a1/a2 only)")
-		basePort  = flag.Int("port", 22000, "base TCP port for -live (process p listens on port+p)")
-		sendq     = flag.Int("sendqueue", 0, "live transport: per-connection send queue depth (0 = default 4096)")
-		flush     = flag.Duration("flush", 0, "live transport: max frame-coalescing latency before a flush (0 = default 200µs)")
 		bandwidth = flag.String("bandwidth", "", "per-link bandwidth cap, e.g. 50mbit, 6.25MB, 1gbit (empty = uncapped; heartbeats are exempt)")
 		compMin   = flag.Int("compressmin", 0, "live transport: compress batch envelopes at or above this many bytes (0 = default 1500, negative = off)")
-		lanes     = flag.Int("lanes", 0, "ordering lanes: shard processes across this many goroutines by group (0 = one per process); sim runs only account lanes")
-		inbox     = flag.Int("inbox", 0, "live transport: per-lane inbox ring size (0 = default 4096)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC, live objects) to this file")
-		mtxProf   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 		benchOut  = flag.String("benchjson", "", "with -live: append a machine-readable result record to this JSON file")
-		telem     = flag.String("telemetry", "", "with -live: serve /metrics, /spans, and /healthz on this host:port (empty = off)")
-		spanBuf   = flag.Int("spanbuf", 0, "with -live: per-lane span ring capacity for lifecycle tracing (0 = default)")
-		flightD   = flag.String("flightdump", "", "with -live: write a JSONL span dump here on a property violation or sync failure")
 		scn       = flag.String("scenario", "", "chaos scenario to run under the workload (partition-heal, asym-partition, leader-flap, delay-spike, partition-recovery); sim only")
 		scnUnit   = flag.Duration("scnunit", 500*time.Millisecond, "chaos scenario time step (with -scenario)")
 		verbose   = flag.Bool("v", false, "print every delivery")
@@ -66,20 +55,17 @@ func main() {
 	fail := func(format string, args ...any) {
 		harness.Usagef("wansim", format, args...)
 	}
-	if *procs != 0 {
-		if *procs < 1 {
-			fail("-procs must be at least 1 (got %d)", *procs)
-		}
-		dSet := false
-		flag.Visit(func(f *flag.Flag) { dSet = dSet || f.Name == "d" })
-		if dSet && *d != *procs {
-			fail("-procs is an alias of -d; got conflicting values %d and %d", *procs, *d)
-		}
-		*d = *procs
+	bw, err := harness.ParseBandwidth(*bandwidth)
+	if err != nil {
+		fail("%v", err)
 	}
-	if *groups < 1 || *d < 1 {
-		fail("-groups and -d must be at least 1 (got %d x %d)", *groups, *d)
+	cfg := lf.Live()
+	cfg.WANDelay, cfg.LANDelay = *inter, *intra
+	cfg.Bandwidth, cfg.CompressMin = bw, *compMin
+	if err := lf.Validate(cfg); err != nil {
+		fail("%v", err)
 	}
+	groups, d := cfg.Groups, cfg.PerGroup
 	if *casts < 0 {
 		fail("-casts must be non-negative (got %d)", *casts)
 	}
@@ -92,11 +78,8 @@ func main() {
 	if *crash < 0 {
 		fail("-crash must be non-negative (got %d)", *crash)
 	}
-	if *pipeline < 1 {
-		fail("-pipeline must be at least 1 (got %d)", *pipeline)
-	}
 	if *live {
-		if err := harness.ValidatePortRange(*basePort, *groups**d); err != nil {
+		if err := harness.ValidatePortRange(cfg.BasePort, groups*d); err != nil {
 			fail("-port: %v", err)
 		}
 		if *scn != "" {
@@ -104,18 +87,18 @@ func main() {
 		}
 	}
 	if *scn != "" {
-		if *groups < 2 {
+		if groups < 2 {
 			fail("-scenario needs at least 2 groups to partition")
 		}
 		if *scnUnit <= 0 {
 			fail("-scnunit must be positive")
 		}
 	}
-	if *spread > *groups {
-		*spread = *groups
+	if *spread > groups {
+		*spread = groups
 	}
 	if *algoName == "all" {
-		compareAll(*groups, *d, *inter, *intra, *jitter, *casts, *rate, *spread, *seed)
+		compareAll(groups, d, *inter, *intra, *jitter, *casts, *rate, *spread, *seed)
 		return
 	}
 	algo := harness.Algo(*algoName)
@@ -133,22 +116,16 @@ func main() {
 		if *scn != "" {
 			fail("-sweep and -scenario are mutually exclusive")
 		}
-		var err error
 		sweepShapes, err = harness.ParseSweep(*sweepSpec)
 		if err != nil {
 			fail("-sweep: %v", err)
 		}
 	}
 	opts := harness.Options{
-		Groups: *groups, PerGroup: *d,
+		Groups: groups, PerGroup: d,
 		Inter: *inter, Intra: *intra, Jitter: *jitter, Seed: *seed,
-		MaxBatch: *maxBatch, A1Pipeline: *pipeline, A2Pipeline: *pipeline,
-		SendQueue: *sendq, FlushEvery: *flush,
-		Bandwidth: *bandwidth, CompressMin: *compMin,
-		Lanes: *lanes, InboxSize: *inbox,
-		CPUProfile: *cpuProf, MemProfile: *memProf, MutexProfile: *mtxProf,
-		BenchJSON:     *benchOut,
-		TelemetryAddr: *telem, SpanBuf: *spanBuf, FlightDump: *flightD,
+		MaxBatch: cfg.MaxBatch, A1Pipeline: cfg.Pipeline, A2Pipeline: cfg.Pipeline,
+		Bandwidth: *bandwidth, Lanes: cfg.Lanes,
 	}
 	if err := opts.Validate(); err != nil {
 		fail("%v", err)
@@ -162,13 +139,13 @@ func main() {
 			fail("-sweep %v: %v", sh, err)
 		}
 	}
-	if opts.TraceLifecycle() && !*live {
+	if lf.Tracing() && !*live {
 		fail("-telemetry, -spanbuf, and -flightdump instrument live runs only (add -live)")
 	}
 	if *compMin != 0 && !*live {
 		fail("-compressmin tunes the live transport only (add -live)")
 	}
-	stopProf, err := harness.StartProfiles(opts.CPUProfile, opts.MemProfile, opts.MutexProfile)
+	stopProf, err := harness.StartProfiles(lf.CPUProfile, lf.MemProfile, lf.MutexProfile)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -183,7 +160,10 @@ func main() {
 		return
 	}
 	if *live {
-		runLive(algo, opts, *basePort, *casts, *rate, *spread, *seed, *verbose)
+		runLive(algo, cfg, liveRun{
+			telemetry: lf.Telemetry, bandwidth: *bandwidth, benchOut: *benchOut,
+			casts: *casts, rate: *rate, spread: *spread, seed: *seed, verbose: *verbose,
+		})
 		flushProf()
 		return
 	}
@@ -215,12 +195,12 @@ func main() {
 
 	// Warm A2's rounds so the steady-state latency is measured.
 	if algo == harness.AlgoA2 {
-		for g := 0; g < *groups; g++ {
+		for g := 0; g < groups; g++ {
 			s.CastAt(0, s.Topo.Members(types.GroupID(g))[0], "warm", s.Topo.AllGroups())
 		}
 	}
 
-	for i := 0; i < *crash && i < *groups; i++ {
+	for i := 0; i < *crash && i < groups; i++ {
 		// Crash the last member of group i (never the consensus leader's
 		// whole majority).
 		members := s.Topo.Members(types.GroupID(i))
@@ -239,7 +219,7 @@ func main() {
 	for i := 0; i < *casts; i++ {
 		i := i
 		from := types.ProcessID(rng.Intn(s.Topo.N()))
-		dest := pickDest(rng, *groups, *spread)
+		dest := pickDest(rng, groups, *spread)
 		at := time.Duration(i+1) * period
 		s.RT.Scheduler().At(at, func() {
 			if crashed[from] {
@@ -260,7 +240,7 @@ func main() {
 
 	st := s.Col.Snapshot()
 	fmt.Printf("\nalgorithm      %s\n", algo)
-	fmt.Printf("topology       %d groups x %d processes, inter=%v intra=%v jitter=%v\n", *groups, *d, *inter, *intra, *jitter)
+	fmt.Printf("topology       %d groups x %d processes, inter=%v intra=%v jitter=%v\n", groups, d, *inter, *intra, *jitter)
 	fmt.Printf("casts          %d (plus warm-ups where applicable)\n", len(ids))
 	fmt.Printf("virtual time   %v\n", s.RT.Now())
 	fmt.Printf("stats          %v\n", st)

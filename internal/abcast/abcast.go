@@ -109,10 +109,6 @@ type Config struct {
 	// remote bundles are appended for replay, and state transfer
 	// (StartSync) records the rounds it adopts from peers.
 	Log *storage.Log
-	// SyncArchive bounds how many recent completed rounds (with their
-	// delivered unions) are retained to serve restarted group peers'
-	// state transfer. Default 4096.
-	SyncArchive int
 	// OnSynced, when non-nil, fires once a StartSync state transfer has
 	// caught this endpoint up with its group.
 	OnSynced func()
@@ -215,7 +211,6 @@ func New(cfg Config) *Bcast {
 		API:      cfg.Host,
 		Label:    prefix,
 		Chunk:    syncChunk,
-		Archive:  cfg.SyncArchive,
 		Codec:    syncCodec,
 		Position: b.Round,
 		Apply:    func(union []Record) { b.applySyncRound(b.k, union, false) },
@@ -437,10 +432,12 @@ func (b *Bcast) completeRound(union []Record, synced bool) {
 			delete(b.rdAt, rec.ID)
 		}
 		b.api.RecordDeliver(rec.ID)
-		if synced {
-			b.api.Tracef("a2: A-Deliver %v in round %d (state transfer)", rec.ID, b.k)
-		} else {
-			b.api.Tracef("a2: A-Deliver %v in round %d", rec.ID, b.k)
+		if b.api.Debugging() {
+			if synced {
+				b.api.Tracef("a2: A-Deliver %v in round %d (state transfer)", rec.ID, b.k)
+			} else {
+				b.api.Tracef("a2: A-Deliver %v in round %d", rec.ID, b.k)
+			}
 		}
 		if b.onDeliver != nil {
 			b.onDeliver(rec.ID, rec.Payload)

@@ -122,11 +122,6 @@ type Config struct {
 	// process reconstructs the exact pre-crash ordering state from disk
 	// plus a bounded catch-up from live peers.
 	Log *storage.Log
-	// SyncArchive bounds how many recent deliveries this endpoint retains
-	// (with payloads) to serve restarted group peers' state transfer.
-	// Default 4096; a peer further behind than this cannot catch up by
-	// log transfer and reports "too far behind". Ignored without Log.
-	SyncArchive int
 	// OnSynced, when non-nil, fires once a StartSync state transfer has
 	// caught this endpoint up with its group (the natural moment for the
 	// host to take a fresh snapshot).
@@ -240,7 +235,6 @@ func New(cfg Config) *Mcast {
 		API:      cfg.Host,
 		Label:    prefix,
 		Chunk:    syncChunk,
-		Archive:  cfg.SyncArchive,
 		Codec:    syncCodec,
 		Position: a.Delivered,
 		Apply:    func(dr DeliverRec) { a.applySyncDeliver(dr, false) },
@@ -556,10 +550,12 @@ func (a *Mcast) deliver(dr DeliverRec, synced bool) {
 	a.sync.Archive(dr)
 	a.delivered++
 	a.wm.Store(a.delivered)
-	if synced {
-		a.api.Tracef("a1: A-Deliver %v ts=%d (state transfer)", dr.ID, dr.TS)
-	} else {
-		a.api.Tracef("a1: A-Deliver %v ts=%d", dr.ID, dr.TS)
+	if a.api.Debugging() {
+		if synced {
+			a.api.Tracef("a1: A-Deliver %v ts=%d (state transfer)", dr.ID, dr.TS)
+		} else {
+			a.api.Tracef("a1: A-Deliver %v ts=%d", dr.ID, dr.TS)
+		}
 	}
 	if a.onDeliver != nil {
 		a.onDeliver(rmcast.Message{ID: dr.ID, Dest: dr.Dest, Payload: dr.Payload})

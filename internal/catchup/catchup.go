@@ -35,8 +35,7 @@ import (
 // retryEvery is the re-request period while a transfer is outstanding.
 const retryEvery = 100 * time.Millisecond
 
-// defaultArchive is the archive bound when the protocol's SyncArchive
-// setting is zero.
+// defaultArchive is the archive bound when Config.Archive is zero.
 const defaultArchive = 4096
 
 func init() {
@@ -338,11 +337,13 @@ func (e *Engine[E, T]) onResp(from types.ProcessID, m Resp[E, T]) {
 		// Terminal: the peers' archives will never again cover this
 		// position. Stop asking but keep the gate closed — resuming with a
 		// hole would diverge from the group's order. The remedy is a larger
-		// SyncArchive (or fresh state); Syncing() stays true as the symptom.
+		// archive (or fresh state); Syncing() stays true as the symptom.
 		if !e.failed {
 			e.failed = true
-			e.cfg.API.Tracef("%s: peer archive no longer covers position %d; cannot catch up by log transfer (sync abandoned)",
-				e.cfg.Label, e.cfg.Position())
+			if e.cfg.API.Debugging() {
+				e.cfg.API.Tracef("%s: peer archive no longer covers position %d; cannot catch up by log transfer (sync abandoned)",
+					e.cfg.Label, e.cfg.Position())
+			}
 			if e.cfg.OnFailed != nil {
 				e.cfg.OnFailed()
 			}
@@ -388,7 +389,9 @@ func (e *Engine[E, T]) maybeGroupRestart() {
 			return
 		}
 	}
-	e.cfg.API.Tracef("%s: whole group restarting, no peer ahead of position %d; resuming", e.cfg.Label, pos)
+	if e.cfg.API.Debugging() {
+		e.cfg.API.Tracef("%s: whole group restarting, no peer ahead of position %d; resuming", e.cfg.Label, pos)
+	}
 	e.finish()
 }
 

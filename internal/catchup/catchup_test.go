@@ -153,6 +153,7 @@ func (h host) Self() types.ProcessID                       { return h.id }
 func (h host) Group() types.GroupID                        { return h.net.topo.GroupOf(h.id) }
 func (h host) Topo() *types.Topology                       { return h.net.topo }
 func (h host) Tracef(string, ...any)                       {}
+func (h host) Debugging() bool                             { return false }
 func (h host) Send(to types.ProcessID, _ string, body any) { h.net.send(h.id, to, body) }
 func (h host) Multicast(tos []types.ProcessID, _ string, body any) {
 	for _, to := range tos {

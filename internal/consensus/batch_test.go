@@ -52,6 +52,7 @@ func (f *fakeAPI) RecordBatch(size int)                      { f.batches = appen
 func (f *fakeAPI) Tracef(string, ...any)                     {}
 func (f *fakeAPI) Trace(trace.Stage, types.MessageID, int64) {}
 func (f *fakeAPI) Tracing() bool                             { return false }
+func (f *fakeAPI) Debugging() bool                           { return false }
 
 // fakeDet is an Ω stub whose leader never changes.
 type fakeDet struct{ leader types.ProcessID }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 
 	"wanamcast/internal/metrics"
@@ -17,7 +18,7 @@ type BenchResult struct {
 	Name     string `json:"name"`     // benchmark identifier, e.g. "live-kv"
 	Topology string `json:"topology"` // "GxP", e.g. "8x3"
 	Lanes    int    `json:"lanes"`    // configured lane count (0 = per-process)
-	Cores    int    `json:"cores"`    // runtime.NumCPU() at run time
+	Cores    int    `json:"cores"`    // runtime.NumCPU(); AppendBenchJSON stamps it
 	Casts    int    `json:"casts"`    // messages offered
 
 	OrderedPerSec float64 `json:"ordered_per_sec"` // A-Deliveries/s at one process
@@ -124,9 +125,11 @@ func WanHopHist(h map[int64]int) map[string]int {
 }
 
 // AppendBenchJSON appends r to the JSON array in path, creating the file
-// if needed. The whole array is rewritten (these files hold dozens of
-// records, not millions), so the file is always a valid JSON document.
+// if needed, and stamps r's provenance (Cores) so no emitter can omit it.
+// The whole array is rewritten (these files hold dozens of records, not
+// millions), so the file is always a valid JSON document.
 func AppendBenchJSON(path string, r BenchResult) error {
+	r.Cores = runtime.NumCPU()
 	var results []BenchResult
 	data, err := os.ReadFile(path)
 	switch {

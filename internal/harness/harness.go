@@ -23,7 +23,6 @@ import (
 	"wanamcast/internal/rmcast"
 	"wanamcast/internal/scenario"
 	"wanamcast/internal/types"
-	"wanamcast/internal/wire"
 )
 
 // Algo names an algorithm the harness can build.
@@ -176,107 +175,24 @@ type Options struct {
 	// MaxBatch caps how many messages one consensus instance may order in
 	// A1 and A2 (0 means unbounded, the paper's rule).
 	MaxBatch int
-	// SendQueue and FlushEvery tune the live TCP transport when the same
-	// workload options drive a real cluster (cmd/wansim -live, cmd/wannode):
-	// SendQueue bounds each connection's outbound frame queue and
-	// FlushEvery caps write coalescing latency. The simulated runtime has
-	// no transport and ignores both.
-	SendQueue  int
-	FlushEvery time.Duration
 	// Bandwidth caps every link at this rate (ParseBandwidth forms, e.g.
 	// "50Mbit", "6.25MB"; empty or "0" = uncapped). The simulator adds the
-	// transmission delay and per-link FIFO queueing to its delay model; the
-	// live transport paces each connection's writer. Heartbeats are exempt
-	// on the live path — a saturated link must not look like a crash.
+	// transmission delay and per-link FIFO queueing to its delay model.
 	Bandwidth string
-	// CompressMin is the live transport's batch compression threshold in
-	// bytes (0 = default wire.MinCompress, negative = compression off).
-	// Positive values below wire.MinCompress (one MTU) are rejected.
-	CompressMin int
-	// DataDir enables durability on a live cluster: each process persists
-	// its WAL and snapshots under DataDir/p<N> and can be crash-recovered
-	// (LiveCluster.Restart; wannode recovers at startup). Empty disables
-	// persistence. The simulated runtime has no crashes to recover from
-	// and ignores it.
-	DataDir string
-	// NoFsync keeps writing the WAL but skips the fsync barriers: the
-	// "fsync=off" benchmark configuration. Ignored without DataDir.
-	NoFsync bool
-	// SnapshotEvery is the live cluster's snapshot cadence in deliveries
-	// per process (0 = default 512, negative disables automatic
-	// snapshots). Ignored without DataDir.
-	SnapshotEvery int
-	// Lanes shards a live cluster's processes across exactly this many
-	// ordering lane goroutines by group (0 = one goroutine per process,
-	// the historical layout), and routes WAL barriers through the
-	// group-commit syncer. The simulated runtime executes single-threaded
-	// regardless; there Lanes only configures the lane accounting
-	// (node.Runtime.SetLanes), preserving byte-identical traces.
+	// Lanes configures the simulator's lane accounting
+	// (node.Runtime.SetLanes); the simulated runtime executes
+	// single-threaded regardless, preserving byte-identical traces.
 	Lanes int
-	// InboxSize bounds each live lane's lock-free inbox ring (default
-	// 4096); a full ring parks events, never drops. Ignored by the
-	// simulated runtime.
-	InboxSize int
-	// CPUProfile, MemProfile, and MutexProfile are file paths for pprof
-	// output; empty disables each. Commands wire them to -cpuprofile,
-	// -memprofile, and -mutexprofile and call StartProfiles around the
-	// run.
-	CPUProfile   string
-	MemProfile   string
-	MutexProfile string
-	// BenchJSON, when set, appends a machine-readable BenchResult record
-	// to this file after a live benchmark run (see AppendBenchJSON).
-	BenchJSON string
-	// ReadFraction is the read share of a KV load in [0,1] (0 = the
-	// historical write-only load). Only live KV commands consume it.
-	ReadFraction float64
-	// Consistency names the read mode of a KV load: "ordered" (full
-	// total-order round), "lease" (leader-local linearizable), or
-	// "watermark" (any-replica monotonic). Empty means ordered.
-	Consistency string
-	// LeaseDuration enables leader leases on a live cluster (0 disables);
-	// MaxClockSkew is the drift guard subtracted from every lease window
-	// (default 10 ms when leases are on).
-	LeaseDuration time.Duration
-	MaxClockSkew  time.Duration
-	// TelemetryAddr, when non-empty, serves the live introspection plane
-	// (Prometheus-text /metrics, recent spans on /spans, /healthz) on this
-	// host:port while the command runs. Setting it also enables lifecycle
-	// span tracing — see TraceLifecycle. Ignored by the pure simulator.
-	TelemetryAddr string
-	// SpanBuf bounds each ordering lane's lifecycle-span ring (0 =
-	// default 4096 events). A positive value enables span tracing.
-	SpanBuf int
-	// FlightDump arms the live cluster's flight recorder: the retained
-	// spans dump as JSONL to this path on a §2.2 checker violation, an
-	// abandoned state transfer, or a crash-restart. Enables span tracing.
-	FlightDump string
 	// Trace receives debug lines if non-nil.
 	Trace func(format string, args ...any)
 }
 
-// BandwidthBytes returns the parsed Options.Bandwidth in bytes per second
-// (0 = uncapped). Call Validate first; a malformed rate parses as uncapped
-// here.
-func (o Options) BandwidthBytes() int64 {
-	bw, err := ParseBandwidth(o.Bandwidth)
-	if err != nil {
-		return 0
-	}
-	return bw
-}
-
-// TraceLifecycle reports whether the options ask for lifecycle span
-// tracing: any of the telemetry plane, a span buffer size, or a flight
-// dump path implies it.
-func (o Options) TraceLifecycle() bool {
-	return o.TelemetryAddr != "" || o.SpanBuf > 0 || o.FlightDump != ""
-}
-
 // Validate rejects option values that would panic deep inside a run —
-// non-positive topologies, negative delays or queue sizes. Commands
-// validate flags through it so a bad invocation dies with a usage message
-// instead of a mid-run panic. Zero values are fine (fill() defaults them).
+// non-positive topologies, negative delays or sizes, a malformed
+// bandwidth. Commands validate flags through it so a bad invocation dies
+// with a usage message instead of a mid-run panic. Zero values are fine
+// (fill() defaults them). Live cluster settings are checked by
+// wanamcast.LiveConfig.Validate.
 func (o Options) Validate() error {
 	switch {
 	case o.Groups < 0 || o.PerGroup < 0:
@@ -289,50 +205,13 @@ func (o Options) Validate() error {
 		return fmt.Errorf("pipeline depth must be non-negative: a1=%d a2=%d", o.A1Pipeline, o.A2Pipeline)
 	case o.A2KeepAlive < 0:
 		return fmt.Errorf("keep-alive rounds must be non-negative: %d", o.A2KeepAlive)
-	case o.SendQueue < 0:
-		return fmt.Errorf("send queue depth must be non-negative: %d", o.SendQueue)
-	case o.FlushEvery < 0:
-		return fmt.Errorf("flush interval must be non-negative: %v", o.FlushEvery)
 	case o.ConsensusRetry < 0:
 		return fmt.Errorf("consensus retry must be non-negative: %v", o.ConsensusRetry)
 	case o.Lanes < 0:
 		return fmt.Errorf("lane count must be non-negative: %d", o.Lanes)
-	case o.InboxSize < 0:
-		return fmt.Errorf("inbox size must be non-negative: %d", o.InboxSize)
-	case o.NoFsync && o.DataDir == "":
-		return fmt.Errorf("fsync=off is meaningless without a data dir")
-	case o.SnapshotEvery != 0 && o.DataDir == "":
-		return fmt.Errorf("snapshot cadence is meaningless without a data dir")
-	case o.ReadFraction < 0 || o.ReadFraction > 1:
-		return fmt.Errorf("read fraction must be within [0,1]: %v", o.ReadFraction)
-	case o.LeaseDuration < 0 || o.MaxClockSkew < 0:
-		return fmt.Errorf("lease duration and clock skew must be non-negative: %v, %v", o.LeaseDuration, o.MaxClockSkew)
-	case o.MaxClockSkew > 0 && o.LeaseDuration == 0:
-		return fmt.Errorf("a clock-skew guard is meaningless without leases (set a lease duration)")
-	case o.LeaseDuration > 0 && o.MaxClockSkew >= o.LeaseDuration:
-		return fmt.Errorf("the clock-skew guard %v consumes the whole lease window %v", o.MaxClockSkew, o.LeaseDuration)
-	case o.SpanBuf < 0:
-		return fmt.Errorf("span buffer size must be non-negative: %d", o.SpanBuf)
-	case o.CompressMin > 0 && o.CompressMin < wire.MinCompress:
-		return fmt.Errorf("compression threshold %d is below one MTU (%d): compressing sub-packet payloads burns CPU for nothing", o.CompressMin, wire.MinCompress)
 	}
-	if _, err := ParseBandwidth(o.Bandwidth); err != nil {
-		return err
-	}
-	if o.TelemetryAddr != "" {
-		if err := ValidateTelemetryAddr(o.TelemetryAddr); err != nil {
-			return err
-		}
-	}
-	switch o.Consistency {
-	case "", "ordered", "lease", "watermark":
-	default:
-		return fmt.Errorf("consistency must be ordered, lease, or watermark: %q", o.Consistency)
-	}
-	if o.Consistency == "lease" && o.LeaseDuration == 0 {
-		return fmt.Errorf("lease-consistent reads need leader leases enabled (set a lease duration)")
-	}
-	return nil
+	_, err := ParseBandwidth(o.Bandwidth)
+	return err
 }
 
 func (o *Options) fill() {
@@ -393,8 +272,8 @@ func Build(algo Algo, opts Options) *System {
 	opts.fill()
 	topo := types.NewTopology(opts.Groups, opts.PerGroup)
 	col := &metrics.Collector{LogSends: opts.LogSends}
-	model := network.Model{IntraGroup: opts.Intra, InterGroup: opts.Inter, Jitter: opts.Jitter,
-		Bandwidth: opts.BandwidthBytes()}
+	bw, _ := ParseBandwidth(opts.Bandwidth) // Validate reports a malformed rate; here it runs uncapped
+	model := network.Model{IntraGroup: opts.Intra, InterGroup: opts.Inter, Jitter: opts.Jitter, Bandwidth: bw}
 	rt := node.NewRuntime(topo, model, opts.Seed, col)
 	rt.Trace = opts.Trace
 	rt.SetLanes(opts.Lanes)

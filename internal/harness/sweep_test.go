@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -66,6 +69,24 @@ func TestRunScaleSweepMeasures(t *testing.T) {
 	rec := p.BenchRecord("sim-sweep-a1", 1)
 	if rec.Topology != "3x3" || rec.Events != p.Events || rec.Seed != 1 {
 		t.Fatalf("bench record mismatch: %+v", rec)
+	}
+
+	// The appended record carries its provenance: BENCH_sim.json sweep
+	// records once stored cores: 0.
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if err := AppendBenchJSON(path, rec); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []BenchResult
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Cores <= 0 {
+		t.Fatalf("appended sweep record lacks a core count: %s", data)
 	}
 }
 

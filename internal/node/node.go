@@ -72,6 +72,10 @@ type API interface {
 	RecordBatch(size int)
 	// Tracef emits a debug trace line when tracing is enabled.
 	Tracef(format string, args ...any)
+	// Debugging reports whether Tracef lines go anywhere. Call sites on
+	// hot paths check it first: the variadic call boxes its arguments
+	// even when the line is then dropped.
+	Debugging() bool
 	// Trace records a lifecycle span for message id at the given stage
 	// when a tracer is attached (see internal/trace). aux carries the
 	// stage-specific payload: the Lamport clock at cast/deliver, a
@@ -126,6 +130,8 @@ type Env interface {
 	Later(owner *Proc, d time.Duration, fn func())
 	Recorder() Recorder
 	Tracef(format string, args ...any)
+	// Debugging reports whether Tracef has a sink.
+	Debugging() bool
 }
 
 // Proc is one process: a Lamport clock, a crash flag, and a protocol
@@ -310,8 +316,14 @@ func (p *Proc) Tracing() bool {
 	return p.tracer.Enabled() && !p.recovering
 }
 
+// Debugging implements API.
+func (p *Proc) Debugging() bool { return p.env.Debugging() }
+
 // Tracef implements API.
 func (p *Proc) Tracef(format string, args ...any) {
+	if !p.env.Debugging() {
+		return
+	}
 	p.env.Tracef("%v t=%v lc=%d "+format, append([]any{p.id, p.env.Now(), p.clock}, args...)...)
 }
 

@@ -198,6 +198,9 @@ func (rt *Runtime) Now() time.Duration { return rt.sched.Now() }
 // Recorder implements Env.
 func (rt *Runtime) Recorder() Recorder { return rt.rec }
 
+// Debugging implements Env.
+func (rt *Runtime) Debugging() bool { return rt.Trace != nil }
+
 // Tracef implements Env.
 func (rt *Runtime) Tracef(format string, args ...any) {
 	if rt.Trace != nil {

@@ -102,12 +102,18 @@ func init() {
 		})
 }
 
-// Default values for the transport knobs (see Config).
+// Default values for the transport knobs (see Config). DefaultSendQueue
+// is fixed: it bounds each connection's outbound frame queue, and a full
+// queue drops the frame instead of blocking the sender's process loop
+// (protocol retry timers recover drops toward live peers).
 const (
-	DefaultSendQueue   = 4096
-	DefaultInboxSize   = 4096
-	DefaultFlushEvery  = 200 * time.Microsecond
-	DefaultDialTimeout = time.Second
+	DefaultSendQueue      = 4096
+	DefaultInboxSize      = 4096
+	DefaultFlushEvery     = 200 * time.Microsecond
+	DefaultDialTimeout    = time.Second
+	DefaultHeartbeatEvery = 50 * time.Millisecond
+	DefaultSuspectAfter   = 250 * time.Millisecond
+	DefaultMaxClockSkew   = 10 * time.Millisecond
 )
 
 // Config configures a live runtime. By default it hosts every process of
@@ -163,12 +169,8 @@ type Config struct {
 	// InboxSize bounds each lane's lock-free inbox ring (default 4096).
 	// A full ring PARKS further events in an unbounded overflow list —
 	// inbox events (consensus replies, timers, deliveries) are never
-	// dropped, unlike SendQueue's frames, whose loss is retry-safe.
+	// dropped, unlike send-queue frames, whose loss is retry-safe.
 	InboxSize int
-	// SendQueue bounds each connection's outbound frame queue (default
-	// 4096). A full queue drops the frame instead of blocking the sender's
-	// process loop; protocol retry timers recover drops toward live peers.
-	SendQueue int
 	// FlushEvery caps how long an encoded frame may sit in a connection's
 	// write buffer before it is flushed (default 200 µs). Within the
 	// window the writer coalesces every queued frame into one syscall.
@@ -182,8 +184,9 @@ type Config struct {
 	// payload reaches this many bytes is deflated (compress/flate,
 	// BestSpeed) unless compression fails to shrink it. 0 means the default
 	// (wire.MinCompress, one MTU); negative disables compression entirely.
-	// Thresholds in (0, wire.MinCompress) are rejected by harness
-	// validation — compressing sub-packet payloads burns CPU for nothing.
+	// wanamcast.LiveConfig.Validate rejects thresholds in
+	// (0, wire.MinCompress): compressing sub-packet payloads burns CPU for
+	// nothing.
 	CompressMin int
 	// Fabric, when non-nil, is the mutable link table chaos scenarios
 	// drive: a severed (from, to) link kills the outbound connection,
@@ -268,16 +271,13 @@ func New(cfg Config) *Runtime {
 		cfg.WANDelay = 100 * time.Millisecond
 	}
 	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = 50 * time.Millisecond
+		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
 	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = 250 * time.Millisecond
+		cfg.SuspectAfter = DefaultSuspectAfter
 	}
 	if cfg.LeaseDuration > 0 && cfg.MaxClockSkew == 0 {
-		cfg.MaxClockSkew = 10 * time.Millisecond
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = DefaultSendQueue
+		cfg.MaxClockSkew = DefaultMaxClockSkew
 	}
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = DefaultInboxSize
@@ -878,6 +878,9 @@ func (rt *Runtime) Tracef(format string, args ...any) {
 	rt.trace(format, args...)
 }
 
+// Debugging implements node.Env.
+func (rt *Runtime) Debugging() bool { return rt.trace != nil }
+
 // Later implements node.Env. Timer callbacks whose owning process has
 // crashed by fire time are dropped, matching node.Runtime.Later: a dead
 // node must not keep driving consensus rounds. The crash flag is
@@ -946,7 +949,7 @@ func (rt *Runtime) link(from, to types.ProcessID) *link {
 		rt:    rt,
 		from:  from,
 		to:    to,
-		queue: make(chan outFrame, rt.cfg.SendQueue),
+		queue: make(chan outFrame, DefaultSendQueue),
 		fdq:   make(chan outFrame, 16),
 		wake:  make(chan struct{}, 1),
 		ctr:   rt.fabric.Counter(from, to),
@@ -1058,13 +1061,14 @@ func (l *link) writeLoop() {
 			// channel. Heartbeats are NOT parked: they are ephemeral
 			// liveness signals, and withholding them is the whole point —
 			// the peer must suspect us until the link heals. The park
-			// buffer is bounded by SendQueue; beyond it frames drop, as a
-			// full send queue always has (protocol retries recover).
+			// buffer is bounded by DefaultSendQueue; beyond it frames
+			// drop, as a full send queue always has (protocol retries
+			// recover).
 			if conn != nil {
 				teardown()
 			}
 			if got && f.proto != "fd" {
-				if len(held) < rt.cfg.SendQueue {
+				if len(held) < DefaultSendQueue {
 					held = append(held, f)
 				} else {
 					rt.Tracef("partition hold full: drop %v->%v %s", l.from, l.to, f.proto)
@@ -1272,7 +1276,7 @@ func (l *link) writePlain(bw *bufio.Writer, buf *[]byte, f outFrame) (int, error
 // they are written and flushed immediately during the wait, so a saturated
 // link keeps carrying heartbeats and congestion cannot masquerade as a
 // crash. Other frames arriving mid-wait park in held for the next cycle,
-// bounded by SendQueue exactly like the partition hold.
+// bounded by DefaultSendQueue exactly like the partition hold.
 func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 	rt := l.rt
 	for {
@@ -1298,7 +1302,7 @@ func (l *link) pace(held *[]outFrame, bw *bufio.Writer, buf *[]byte) error {
 			}
 		case f := <-l.queue:
 			t.Stop()
-			if len(*held) < rt.cfg.SendQueue {
+			if len(*held) < DefaultSendQueue {
 				*held = append(*held, f)
 			} else {
 				rt.Tracef("pacing hold full: drop %v->%v %s", l.from, l.to, f.proto)

@@ -1,6 +1,7 @@
 package wanamcast
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -39,6 +40,7 @@ type LiveConfig struct {
 	// HeartbeatEvery and SuspectAfter tune the heartbeat failure detector
 	// (defaults 50 ms and 250 ms): a peer silent for SuspectAfter is
 	// suspected — and trusted again the moment its beats resume.
+	// HeartbeatEvery must be shorter than SuspectAfter.
 	HeartbeatEvery time.Duration
 	SuspectAfter   time.Duration
 	// LeaseDuration enables leader leases: each group's rank-0 replica
@@ -50,11 +52,9 @@ type LiveConfig struct {
 	// clock offsets don't matter (see the tcp lease protocol).
 	LeaseDuration time.Duration
 	// MaxClockSkew guards the lease windows against clock drift (default
-	// 10 ms when leases are enabled).
+	// 10 ms when leases are enabled). It must stay below LeaseDuration, or
+	// no lease would ever activate.
 	MaxClockSkew time.Duration
-	// KeepAliveRounds tunes A2's quiescence predictor (default 1, the
-	// paper's Algorithm A2).
-	KeepAliveRounds int
 	// Pipeline sets the consensus-instances-in-flight limit for both A1
 	// and A2 (default 1, the paper's sequential algorithms).
 	Pipeline int
@@ -75,24 +75,14 @@ type LiveConfig struct {
 	// (the default) keeps the historical layout — one goroutine per
 	// process, synchronous Commit barriers.
 	Lanes int
-	// InboxSize bounds each lane's lock-free inbox ring (default 4096).
-	// A full ring parks further events in an unbounded overflow list —
-	// lane events are never dropped.
-	InboxSize int
-	// SendQueue bounds each TCP connection's outbound frame queue
-	// (default 4096); a full queue drops frames instead of blocking a
-	// process loop, and protocol retries recover the drops.
-	SendQueue int
-	// FlushEvery caps how long the TCP writer may coalesce frames before
-	// flushing them in one syscall (default 200 µs).
-	FlushEvery time.Duration
 	// Bandwidth caps every link at this many bytes per second (0 =
 	// uncapped): each TCP connection's writer paces itself to the rate.
 	// Heartbeats are exempt, so a saturated link cannot look like a crash.
 	// Commands parse human-readable rates via harness.ParseBandwidth.
 	Bandwidth int64
 	// CompressMin is the batch compression threshold in bytes (0 = default
-	// wire.MinCompress, negative = compression off).
+	// wire.MinCompress, negative = compression off). Positive values below
+	// wire.MinCompress (one MTU) are rejected.
 	CompressMin int
 	// RetainDeliveries bounds the cluster's delivery bookkeeping: only the
 	// most recent RetainDeliveries entries of the Deliveries() log are
@@ -120,17 +110,12 @@ type LiveConfig struct {
 	StoreFor func(p ProcessID) storage.Store
 	// NoFsync makes Commit barriers flush without fsyncing: crashes of
 	// the whole OS process lose the tail, in-process Crash/Restart does
-	// not. The "fsync=off" benchmark knob.
+	// not. The "fsync=off" benchmark knob; it needs DataDir.
 	NoFsync bool
 	// SnapshotEvery is how many A-Deliveries a process accumulates before
 	// its state is snapshotted and the WAL truncated (default 512;
-	// negative disables automatic snapshots).
+	// negative disables automatic snapshots). It needs DataDir or StoreFor.
 	SnapshotEvery int
-	// SyncArchive bounds the per-process archives (recent deliveries for
-	// A1, completed rounds for A2) that serve restarted peers' catch-up.
-	// Default 4096: a replica that missed more than this cannot rejoin by
-	// log transfer.
-	SyncArchive int
 	// TraceSpans enables the end-to-end message lifecycle tracer: every
 	// process records causal spans (submit, rmcast send/admit, cast,
 	// consensus propose/promise/accept/learn, fsync barriers, lane
@@ -150,11 +135,88 @@ type LiveConfig struct {
 	FlightDump string
 }
 
+// withDefaults fills the zero values that mean "default" — the
+// topology, the failure detector's timing, the lease skew guard, and the
+// snapshot cadence of a durable cluster — so Validate judges the values a
+// cluster would actually run with. tcp.New defaults the rest.
+func (c LiveConfig) withDefaults() LiveConfig {
+	if c.Groups == 0 {
+		c.Groups = 2
+	}
+	if c.PerGroup == 0 {
+		c.PerGroup = 3
+	}
+	if c.HeartbeatEvery == 0 {
+		c.HeartbeatEvery = tcp.DefaultHeartbeatEvery
+	}
+	if c.SuspectAfter == 0 {
+		c.SuspectAfter = tcp.DefaultSuspectAfter
+	}
+	if c.LeaseDuration > 0 && c.MaxClockSkew == 0 {
+		c.MaxClockSkew = tcp.DefaultMaxClockSkew
+	}
+	if c.SnapshotEvery == 0 && c.durable() {
+		c.SnapshotEvery = 512
+	}
+	return c
+}
+
+func (c LiveConfig) durable() bool { return c.DataDir != "" || c.StoreFor != nil }
+
+// Validate reports the first value that would make the cluster fail or
+// run other than configured: negative sizes and delays, a sub-MTU
+// compression threshold, durability knobs without a store, a failure
+// detector that suspects between two heartbeats, a lease the clock-skew
+// guard swallows whole, or a flight recorder without the tracer it dumps.
+// It judges the config after defaults are applied, so a 5 ms lease fails
+// against the default 10 ms skew guard. NewLiveCluster calls it first.
+func (c LiveConfig) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.FlightDump != "" && !c.TraceSpans:
+		return fmt.Errorf("a flight dump needs lifecycle tracing (set TraceSpans)")
+	case c.NoFsync && c.DataDir == "":
+		return fmt.Errorf("fsync=off is meaningless without a data dir")
+	case c.SnapshotEvery != 0 && !c.durable():
+		return fmt.Errorf("snapshot cadence is meaningless without a data dir")
+	case c.MaxClockSkew != 0 && c.LeaseDuration == 0:
+		return fmt.Errorf("a clock-skew guard is meaningless without leases (set a lease duration)")
+	case c.Groups < 0 || c.PerGroup < 0:
+		return fmt.Errorf("topology must be positive: %d groups x %d processes", c.Groups, c.PerGroup)
+	case c.WANDelay < 0 || c.LANDelay < 0:
+		return fmt.Errorf("delays must be non-negative: wan=%v lan=%v", c.WANDelay, c.LANDelay)
+	case c.HeartbeatEvery < 0 || c.HeartbeatEvery >= c.SuspectAfter:
+		return fmt.Errorf("need 0 < heartbeat < suspect-after (got %v, %v): a detector that suspects between two beats suspects everyone", c.HeartbeatEvery, c.SuspectAfter)
+	case c.LeaseDuration < 0 || c.MaxClockSkew < 0:
+		return fmt.Errorf("lease duration and clock skew must be non-negative: %v, %v", c.LeaseDuration, c.MaxClockSkew)
+	case c.LeaseDuration > 0 && c.MaxClockSkew >= c.LeaseDuration:
+		return fmt.Errorf("the clock-skew guard %v consumes the whole lease window %v: no lease would ever activate", c.MaxClockSkew, c.LeaseDuration)
+	case c.ConsensusRetry < 0:
+		return fmt.Errorf("consensus retry must be non-negative: %v", c.ConsensusRetry)
+	case c.MaxBatch < 0:
+		return fmt.Errorf("max batch must be non-negative: %d", c.MaxBatch)
+	case c.Pipeline < 0:
+		return fmt.Errorf("pipeline depth must be non-negative: %d", c.Pipeline)
+	case c.Lanes < 0:
+		return fmt.Errorf("lane count must be non-negative: %d", c.Lanes)
+	case c.SpanBuf < 0:
+		return fmt.Errorf("span buffer size must be non-negative: %d", c.SpanBuf)
+	case c.Bandwidth < 0:
+		return fmt.Errorf("bandwidth must be non-negative: %d B/s", c.Bandwidth)
+	case c.CompressMin > 0 && c.CompressMin < wire.MinCompress:
+		return fmt.Errorf("compression threshold %d is below one MTU (%d): compressing sub-packet payloads burns CPU for nothing", c.CompressMin, wire.MinCompress)
+	case c.RetainDeliveries < 0:
+		return fmt.Errorf("delivery retention must be non-negative: %d", c.RetainDeliveries)
+	}
+	return nil
+}
+
 // LiveCluster runs Algorithms A1 and A2 on every process over TCP.
 // Construct with NewLiveCluster, then Start; deliveries arrive on the
 // callback passed to OnDeliver (installed before Start). LiveCluster is
 // safe for concurrent use.
 type LiveCluster struct {
+	err    error // a cluster that could not be built holds only this
 	rt     *tcp.Runtime
 	topo   *types.Topology
 	cfg    LiveConfig
@@ -179,6 +241,8 @@ type LiveCluster struct {
 	countOrder []MessageID // first-delivery order, for bounded eviction
 	checker    *check.Checker
 	crashed    map[ProcessID]bool
+	syncFault  string // first abandoned state transfer; /healthz reports it
+	violation  string // first violation of the latest CheckProperties, if any
 	started    bool
 	stopped    bool
 	startTime  time.Time
@@ -187,20 +251,21 @@ type LiveCluster struct {
 
 // NewLiveCluster builds (but does not start) a live cluster. Payloads of
 // basic types ride the wire codec directly; gob-register any other payload
-// type before casting it. It panics if a configured data directory
-// cannot be opened: a cluster asked to be durable must not silently run
-// volatile.
+// type before casting it. A config that fails Validate, or a data
+// directory that cannot be opened, yields a cluster that holds only the
+// error: its Start returns it without binding a port, its Stop does
+// nothing, and no other method may be called. A cluster asked to be
+// durable never silently runs volatile.
 func NewLiveCluster(cfg LiveConfig) *LiveCluster {
-	if cfg.Groups == 0 {
-		cfg.Groups = 2
+	if err := cfg.Validate(); err != nil {
+		return &LiveCluster{err: fmt.Errorf("wanamcast: live config: %w", err)}
 	}
-	if cfg.PerGroup == 0 {
-		cfg.PerGroup = 3
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 512
-	}
+	cfg = cfg.withDefaults()
 	topo := types.NewTopology(cfg.Groups, cfg.PerGroup)
+	stores, err := openStores(cfg, topo)
+	if err != nil {
+		return &LiveCluster{err: err}
+	}
 	col := &metrics.LockedCollector{}
 	// The collector's per-cast records (each holding its deliveries) must
 	// not grow forever on a long-lived cluster: bound them like the
@@ -233,9 +298,6 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		LeaseDuration:  cfg.LeaseDuration,
 		MaxClockSkew:   cfg.MaxClockSkew,
 		Lanes:          cfg.Lanes,
-		InboxSize:      cfg.InboxSize,
-		SendQueue:      cfg.SendQueue,
-		FlushEvery:     cfg.FlushEvery,
 		Bandwidth:      cfg.Bandwidth,
 		CompressMin:    cfg.CompressMin,
 		Recorder:       col,
@@ -249,7 +311,7 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 		cfg:        cfg,
 		a1:         make([]*amcast.Mcast, topo.N()),
 		a2:         make([]*abcast.Bcast, topo.N()),
-		stores:     make([]storage.Store, topo.N()),
+		stores:     stores,
 		castSeqs:   make([]uint64, topo.N()),
 		retain:     cfg.RetainDeliveries,
 		counts:     make(map[MessageID]int),
@@ -261,9 +323,6 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	}
 	if cfg.Check {
 		l.checker = check.New(topo)
-	}
-	for _, id := range topo.AllProcesses() {
-		l.stores[id] = l.openStore(id)
 	}
 	// With lanes sharing goroutines, Commit barriers batch through one
 	// group-commit syncer instead of fsyncing inline (see
@@ -284,21 +343,28 @@ func NewLiveCluster(cfg LiveConfig) *LiveCluster {
 	return l
 }
 
-// openStore creates process id's durable store per the config: StoreFor
-// wins, then DataDir, else none.
-func (l *LiveCluster) openStore(id ProcessID) storage.Store {
-	if l.cfg.StoreFor != nil {
-		return l.cfg.StoreFor(id)
+// openStores creates every process's durable store per the config:
+// StoreFor wins, then DataDir, else none. On a failure it closes the
+// stores it already opened.
+func openStores(cfg LiveConfig, topo *types.Topology) ([]storage.Store, error) {
+	stores := make([]storage.Store, topo.N())
+	for _, id := range topo.AllProcesses() {
+		switch {
+		case cfg.StoreFor != nil:
+			stores[id] = cfg.StoreFor(id)
+		case cfg.DataDir != "":
+			d, err := storage.OpenDisk(filepath.Join(cfg.DataDir, fmt.Sprintf("p%d", int(id))),
+				storage.DiskOptions{NoFsync: cfg.NoFsync})
+			if err != nil {
+				for _, s := range stores[:id] {
+					_ = s.Close()
+				}
+				return nil, fmt.Errorf("wanamcast: open data dir for %v: %w", id, err)
+			}
+			stores[id] = d
+		}
 	}
-	if l.cfg.DataDir == "" {
-		return nil
-	}
-	d, err := storage.OpenDisk(filepath.Join(l.cfg.DataDir, fmt.Sprintf("p%d", int(id))),
-		storage.DiskOptions{NoFsync: l.cfg.NoFsync})
-	if err != nil {
-		panic(fmt.Sprintf("wanamcast: open data dir for %v: %v", id, err))
-	}
-	return d
+	return stores, nil
 }
 
 // buildEndpoints wires one process's A1 and A2 endpoints onto proc. It
@@ -334,28 +400,21 @@ func (l *LiveCluster) buildEndpoints(id ProcessID, proc *node.Proc, det fd.Detec
 		Pipeline:       l.cfg.Pipeline,
 		ConsensusRetry: l.cfg.ConsensusRetry,
 		Log:            log,
-		SyncArchive:    l.cfg.SyncArchive,
 		OnSynced:       onSynced,
-		OnSyncFailed: func() {
-			l.flightRecord(fmt.Sprintf("a1 state transfer abandoned at %v", id))
-		},
-		OnDeliver: func(m rmcast.Message) { l.recordDelivery(id, m.ID, m.Payload) },
+		OnSyncFailed:   func() { l.syncFailed(fmt.Sprintf("a1 state transfer abandoned at %v", id)) },
+		OnDeliver:      func(m rmcast.Message) { l.recordDelivery(id, m.ID, m.Payload) },
 	})
 	l.a2[id] = abcast.New(abcast.Config{
-		Host:            proc,
-		Detector:        det,
-		KeepAliveRounds: l.cfg.KeepAliveRounds,
-		Pipeline:        l.cfg.Pipeline,
-		MaxBatch:        l.cfg.MaxBatch,
-		ConsensusRetry:  l.cfg.ConsensusRetry,
-		NextID:          nextID,
-		Log:             log,
-		SyncArchive:     l.cfg.SyncArchive,
-		OnSynced:        onSynced,
-		OnSyncFailed: func() {
-			l.flightRecord(fmt.Sprintf("a2 state transfer abandoned at %v", id))
-		},
-		OnDeliver: func(mid MessageID, payload any) { l.recordDelivery(id, mid, payload) },
+		Host:           proc,
+		Detector:       det,
+		Pipeline:       l.cfg.Pipeline,
+		MaxBatch:       l.cfg.MaxBatch,
+		ConsensusRetry: l.cfg.ConsensusRetry,
+		NextID:         nextID,
+		Log:            log,
+		OnSynced:       onSynced,
+		OnSyncFailed:   func() { l.syncFailed(fmt.Sprintf("a2 state transfer abandoned at %v", id)) },
+		OnDeliver:      func(mid MessageID, payload any) { l.recordDelivery(id, mid, payload) },
 	})
 }
 
@@ -456,8 +515,12 @@ func (l *LiveCluster) Topology() *Topology { return l.topo }
 
 // Start opens sockets and launches every process. A cluster can be
 // started at most once; Start after Stop fails rather than resurrecting
-// closed sockets.
+// closed sockets. A cluster NewLiveCluster could not build returns its
+// error here.
 func (l *LiveCluster) Start() error {
+	if l.err != nil {
+		return l.err
+	}
 	l.mu.Lock()
 	if l.started {
 		l.mu.Unlock()
@@ -477,6 +540,9 @@ func (l *LiveCluster) Start() error {
 // concurrently (every call blocks until shutdown completes) and before
 // Start (the cluster then refuses to start).
 func (l *LiveCluster) Stop() {
+	if l.err != nil {
+		return
+	}
 	l.mu.Lock()
 	l.stopped = true
 	l.mu.Unlock()
@@ -622,13 +688,15 @@ func (l *LiveCluster) LaneDepths() []int { return l.rt.LaneDepths() }
 
 // TelemetrySource assembles the live introspection plane's data sources
 // from this cluster for harness.ServeTelemetry: protocol stats, fsync and
-// lane-depth gauges, and — when TraceSpans is on — the stage histograms
-// and the recent span dump. svcStats adds the service-layer counters
-// (nil omits them); cmd names the serving command on the index page.
+// lane-depth gauges, health, and — when TraceSpans is on — the stage
+// histograms and the recent span dump. svcStats adds the service-layer
+// counters (nil omits them); cmd names the serving command on the index
+// page.
 func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) harness.Telemetry {
 	t := harness.Telemetry{
-		Cmd:   cmd,
-		Stats: l.Stats,
+		Cmd:     cmd,
+		Stats:   l.Stats,
+		Healthy: l.healthy,
 		Gauges: func() map[string]float64 {
 			fs := l.FsyncStats()
 			w := l.Stats().Wire
@@ -657,6 +725,33 @@ func (l *LiveCluster) TelemetrySource(cmd string, svcStats *metrics.Service) har
 		t.Spans = tr.WriteJSONL
 	}
 	return t
+}
+
+// healthy reports the cluster's faults for /healthz: an abandoned state
+// transfer (a replica that cannot rejoin stays faulty), else a violation
+// the latest CheckProperties found. A later clean check clears the
+// latter, since in-flight casts report transiently as violations.
+func (l *LiveCluster) healthy() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.syncFault != "":
+		return errors.New(l.syncFault)
+	case l.violation != "":
+		return fmt.Errorf("§2.2 violation: %s", l.violation)
+	}
+	return nil
+}
+
+// syncFailed marks the cluster unhealthy for good and dumps the flight
+// recorder: a process abandoned its state transfer.
+func (l *LiveCluster) syncFailed(reason string) {
+	l.mu.Lock()
+	if l.syncFault == "" {
+		l.syncFault = reason
+	}
+	l.mu.Unlock()
+	l.flightRecord(reason)
 }
 
 // flightRecord dumps the retained spans to LiveConfig.FlightDump — the
@@ -939,7 +1034,9 @@ func (l *LiveCluster) CheckProperties() []string {
 	correct := func(p ProcessID) bool { return !l.crashed[p] }
 	correctCaster := func(id MessageID) bool { return !l.crashed[id.Origin] }
 	v := l.checker.Check(correct, correctCaster)
+	l.violation = ""
 	if len(v) > 0 {
+		l.violation = v[0]
 		// Arm-once is wrong here: each check with violations refreshes the
 		// dump so the recorded spans cover the window closest to the fault.
 		l.flightRecord("§2.2 violation: " + v[0])
